@@ -15,11 +15,12 @@
  * counts and exits non-zero unless the single-threaded im2col+GEMM
  * path beats naive and matches it bit-exactly — the CI regression
  * gate for this subsystem. The isa_dispatch section (every compiled
- * micro-kernel ISA variant vs the scalar reference) and the
- * gemm_ce_fused section (fused Ce-code decode-in-GEMM vs the staged
- * panel-decode baseline) run in smoke mode too, and feed the same
- * gate: any bit-divergence or a fused kernel slower than the staged
- * one fails the run.
+ * micro-kernel ISA variant vs the scalar reference), the
+ * gemm_rowbias_d section (the conv-forward double chain per ISA at
+ * the VGG19-sim GEMM shapes) and the gemm_ce_fused section (fused
+ * Ce-code decode-in-GEMM vs the staged panel-decode baseline) run in
+ * smoke mode too, and feed the same gate: any bit-divergence or a
+ * fused kernel slower than the staged one fails the run.
  */
 
 #include <algorithm>
@@ -372,6 +373,65 @@ main(int argc, char **argv)
         }
         kernels::setActiveIsa(prev_isa);
         std::printf("    ]\n  },\n");
+    }
+
+    // --- conv-forward double chain: gemmRowBiasD per ISA ---------
+    //
+    // The six VGG19-sim conv GEMMs (baseWidth 24, 8x8 input: m = out
+    // channels, k = 9 x in channels, n = output pixels), one row per
+    // ISA variant on one thread. Runs in smoke mode too: any byte
+    // difference from the scalar panel fails the run.
+    {
+        struct RowBiasShape
+        {
+            int64_t m, k, n;
+        };
+        const std::vector<RowBiasShape> shapes{
+            {24, 27, 64},  {24, 216, 64}, {48, 216, 16},
+            {48, 432, 16}, {96, 432, 4},  {96, 864, 4},
+        };
+        const int reps = smoke ? 5 : 50;
+        const auto isas = kernels::supportedIsas();
+        const kernels::KernelIsa prev_isa = kernels::activeIsa();
+        std::printf("  \"gemm_rowbias_d\": [\n");
+        for (size_t si = 0; si < shapes.size(); ++si) {
+            const int64_t m = shapes[si].m, k = shapes[si].k,
+                          n = shapes[si].n;
+            Rng rng(23);
+            Tensor a = randn({m, k}, rng);
+            Tensor b = randn({k, n}, rng);
+            Tensor bias = randn({m}, rng);
+            Tensor c_ref({m, n}), c({m, n});
+            kernels::setActiveIsa(kernels::KernelIsa::Scalar);
+            kernels::gemmRowBiasD(a.data(), b.data(), bias.data(),
+                                  c_ref.data(), m, k, n);
+            const double flops = 2.0 * m * k * n;
+            for (size_t i = 0; i < isas.size(); ++i) {
+                kernels::setActiveIsa(isas[i]);
+                kernels::gemmRowBiasD(a.data(), b.data(), bias.data(),
+                                      c.data(), m, k, n);
+                const bool identical =
+                    std::memcmp(c_ref.data(), c.data(),
+                                (size_t)c.size() * sizeof(float)) == 0;
+                ok = ok && identical;
+                const double ms = bestMs(3, reps, [&] {
+                    kernels::gemmRowBiasD(a.data(), b.data(),
+                                          bias.data(), c.data(), m, k,
+                                          n);
+                });
+                std::printf(
+                    "    {\"shape\": \"%lldx%lldx%lld\", "
+                    "\"isa\": \"%s\", \"ms\": %.4f, "
+                    "\"gflops\": %.2f, \"bit_identical\": %s}%s\n",
+                    (long long)m, (long long)k, (long long)n,
+                    kernels::isaName(isas[i]), ms, flops / ms / 1e6,
+                    bench::jsonBool(identical),
+                    bench::jsonSep(si * isas.size() + i,
+                                   shapes.size() * isas.size()));
+            }
+        }
+        kernels::setActiveIsa(prev_isa);
+        std::printf("  ],\n");
     }
 
     // --- fused Ce-code GEMM vs the staged panel-decode baseline ---

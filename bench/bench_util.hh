@@ -9,6 +9,7 @@
 #ifndef SE_BENCH_BENCH_UTIL_HH
 #define SE_BENCH_BENCH_UTIL_HH
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <functional>
@@ -196,6 +197,17 @@ geomean(const std::vector<double> &v)
     for (double x : v)
         s += std::log(x);
     return std::exp(s / (double)v.size());
+}
+
+/** Median of a series (mean of the middle two when even). */
+inline double
+median(std::vector<double> v)
+{
+    if (v.empty())
+        return 0.0;
+    std::sort(v.begin(), v.end());
+    const size_t h = v.size() / 2;
+    return v.size() % 2 ? v[h] : 0.5 * (v[h - 1] + v[h]);
 }
 
 } // namespace bench

@@ -1,20 +1,26 @@
 /**
  * @file
- * Runtime CPU-feature dispatch for the float-chain micro-kernels.
+ * Runtime CPU-feature dispatch for the GEMM micro-kernels: the
+ * float-chain kernels and the conv-forward double chain.
  *
  * The sgemm/sgemmABt column-panel kernels and the fused Ce-code panel
  * kernel exist in up to three explicitly register-tiled variants —
  * scalar (the reference, byte-for-byte the legacy rounding sequence),
  * SSE2 (4-lane tiles) and AVX2 (8-lane, 2x16 register tiles). The
+ * conv-forward double chain (gemmRowBiasD) has a scalar reference,
+ * which the SSE2 table shares, and an AVX2 variant (4-row x 8-column
+ * tiles of double accumulators, widened from float B strips). The
  * best variant the CPU supports is detected once, and every variant
  * preserves the bit-identity contract: each output element is still
  * accumulated over the inner dimension in ascending order with a
- * round after every multiply-add (SIMD lanes are *different output
- * elements*, never partial sums of one element), and zero entries of
- * A keep the legacy skip so signed zeros and NaN propagation cannot
- * diverge. Fused multiply-add is deliberately never emitted — the
- * AVX2 translation unit is compiled with AVX2 but *not* FMA, because
- * a fused mul+add rounds once where the contract rounds twice.
+ * round after every add (SIMD lanes are *different output elements*,
+ * never partial sums of one element), and zero entries of A keep the
+ * legacy skip in the float chains so signed zeros and NaN propagation
+ * cannot diverge. In the double chain a float x float product is
+ * exact in double, so only the add rounds, exactly as in the scalar
+ * loop. Fused multiply-add is deliberately never emitted — the AVX2
+ * translation unit is compiled with AVX2 but *not* FMA, because a
+ * fused mul+add rounds once where the contract rounds twice.
  *
  * Selection order: SE_KERNEL_ISA (scalar | sse2 | avx2 | auto) if
  * set — rejected loudly when unrecognized or not supported by the
@@ -77,8 +83,8 @@ void setActiveIsa(KernelIsa isa);
 
 /**
  * One micro-kernel variant: the column-panel bodies dispatched by
- * sgemm / sgemmABt / gemmCeB. Panels are [j0, j1) output-column
- * ranges; every variant computes bit-identical bytes.
+ * sgemm / sgemmABt / gemmCeB / gemmRowBiasD. Panels are [j0, j1)
+ * output-column ranges; every variant computes bit-identical bytes.
  */
 struct KernelOps
 {
@@ -100,6 +106,16 @@ struct KernelOps
                         int64_t m, int64_t r, const float *basis,
                         int64_t n, const float *lut, float *out,
                         int64_t j0, int64_t j1);
+    /**
+     * gemmRowBiasD body (conv forward): C(m x n) = (float)(rowBias[i]
+     * + sum_p A[i][p] B[p][j]) over [j0,j1), one double accumulator
+     * per element in ascending-p order, rounded once on store.
+     * row_bias may be null for a zero start.
+     */
+    void (*gemmRowBiasDPanel)(const float *a, const float *b,
+                              const float *row_bias, float *c,
+                              int64_t m, int64_t k, int64_t n,
+                              int64_t j0, int64_t j1);
 };
 
 /** The variant table for one level (throws if unsupported). */

@@ -3,6 +3,9 @@
  * AVX2 micro-kernel variants: 256-bit register tiles (16 columns as
  * two YMM accumulators, two A rows per pass — 4 live accumulator
  * registers plus broadcasts and B loads, sized for FMA-class cores).
+ * The conv-forward double chain uses 4-row x 8-column tiles of double
+ * accumulators (8 YMM): each k step widens one 8-float B strip to two
+ * double vectors and multiplies it by each row's broadcast A value.
  *
  * This TU is compiled with -mavx2 and deliberately WITHOUT -mfma:
  * a fused multiply-add rounds once where the bit-identity contract
@@ -277,8 +280,140 @@ gemmCePanelAvx2(const uint8_t *row_mask, const uint8_t *nibbles,
     }
 }
 
+// ------------------------------------------- conv-forward double chain
+//
+// A float x float product is exact in double, so mul_pd rounds
+// nothing and add_pd rounds exactly where the scalar `acc += a * b`
+// does: every lane reproduces the scalar panel's bytes.
+
+/** Row bias as the chain's double start value (zero when absent). */
+inline __m256d
+biasStart(const float *row_bias, int64_t i)
+{
+    return _mm256_set1_pd(row_bias ? (double)row_bias[i] : 0.0);
+}
+
+/** acc + av * bv as a separate multiply and add, never fused. */
+inline __m256d
+mulAdd(__m256d acc, __m256d av, __m256d bv)
+{
+    return _mm256_add_pd(acc, _mm256_mul_pd(av, bv));
+}
+
+void
+gemmRowBiasDPanelAvx2(const float *__restrict a,
+                      const float *__restrict b, const float *row_bias,
+                      float *__restrict c, int64_t m, int64_t k,
+                      int64_t n, int64_t j0, int64_t j1)
+{
+    constexpr int64_t kRows = 4;  // A rows per tile
+    int64_t jt = j0;
+    // 4 rows x 8 columns: two YMM of doubles per row.
+    for (; jt + kHalf <= j1; jt += kHalf) {
+        int64_t i = 0;
+        for (; i + kRows <= m; i += kRows) {
+            const float *a0 = a + i * k;
+            const float *a1 = a0 + k;
+            const float *a2 = a1 + k;
+            const float *a3 = a2 + k;
+            __m256d lo0 = biasStart(row_bias, i), hi0 = lo0;
+            __m256d lo1 = biasStart(row_bias, i + 1), hi1 = lo1;
+            __m256d lo2 = biasStart(row_bias, i + 2), hi2 = lo2;
+            __m256d lo3 = biasStart(row_bias, i + 3), hi3 = lo3;
+            const float *bp = b + jt;
+            for (int64_t p = 0; p < k; ++p, bp += n) {
+                const __m256d blo = _mm256_cvtps_pd(_mm_loadu_ps(bp));
+                const __m256d bhi =
+                    _mm256_cvtps_pd(_mm_loadu_ps(bp + 4));
+                __m256d av = _mm256_set1_pd((double)a0[p]);
+                lo0 = mulAdd(lo0, av, blo);
+                hi0 = mulAdd(hi0, av, bhi);
+                av = _mm256_set1_pd((double)a1[p]);
+                lo1 = mulAdd(lo1, av, blo);
+                hi1 = mulAdd(hi1, av, bhi);
+                av = _mm256_set1_pd((double)a2[p]);
+                lo2 = mulAdd(lo2, av, blo);
+                hi2 = mulAdd(hi2, av, bhi);
+                av = _mm256_set1_pd((double)a3[p]);
+                lo3 = mulAdd(lo3, av, blo);
+                hi3 = mulAdd(hi3, av, bhi);
+            }
+            float *c0 = c + i * n + jt;
+            _mm_storeu_ps(c0, _mm256_cvtpd_ps(lo0));
+            _mm_storeu_ps(c0 + 4, _mm256_cvtpd_ps(hi0));
+            _mm_storeu_ps(c0 + n, _mm256_cvtpd_ps(lo1));
+            _mm_storeu_ps(c0 + n + 4, _mm256_cvtpd_ps(hi1));
+            _mm_storeu_ps(c0 + 2 * n, _mm256_cvtpd_ps(lo2));
+            _mm_storeu_ps(c0 + 2 * n + 4, _mm256_cvtpd_ps(hi2));
+            _mm_storeu_ps(c0 + 3 * n, _mm256_cvtpd_ps(lo3));
+            _mm_storeu_ps(c0 + 3 * n + 4, _mm256_cvtpd_ps(hi3));
+        }
+        for (; i < m; ++i) {  // leftover rows: 1 x 8
+            const float *ai = a + i * k;
+            __m256d lo = biasStart(row_bias, i), hi = lo;
+            const float *bp = b + jt;
+            for (int64_t p = 0; p < k; ++p, bp += n) {
+                const __m256d av = _mm256_set1_pd((double)ai[p]);
+                lo = mulAdd(lo, av, _mm256_cvtps_pd(_mm_loadu_ps(bp)));
+                hi = mulAdd(hi, av,
+                            _mm256_cvtps_pd(_mm_loadu_ps(bp + 4)));
+            }
+            float *ci = c + i * n + jt;
+            _mm_storeu_ps(ci, _mm256_cvtpd_ps(lo));
+            _mm_storeu_ps(ci + 4, _mm256_cvtpd_ps(hi));
+        }
+    }
+    // 4 leftover columns: one YMM per row. VGG-style late stages end
+    // at a 2x2 output (n = 4), which lives entirely in this stage.
+    for (; jt + 4 <= j1; jt += 4) {
+        int64_t i = 0;
+        for (; i + kRows <= m; i += kRows) {
+            const float *a0 = a + i * k;
+            const float *a1 = a0 + k;
+            const float *a2 = a1 + k;
+            const float *a3 = a2 + k;
+            __m256d acc0 = biasStart(row_bias, i);
+            __m256d acc1 = biasStart(row_bias, i + 1);
+            __m256d acc2 = biasStart(row_bias, i + 2);
+            __m256d acc3 = biasStart(row_bias, i + 3);
+            const float *bp = b + jt;
+            for (int64_t p = 0; p < k; ++p, bp += n) {
+                const __m256d bv = _mm256_cvtps_pd(_mm_loadu_ps(bp));
+                acc0 = mulAdd(acc0, _mm256_set1_pd((double)a0[p]), bv);
+                acc1 = mulAdd(acc1, _mm256_set1_pd((double)a1[p]), bv);
+                acc2 = mulAdd(acc2, _mm256_set1_pd((double)a2[p]), bv);
+                acc3 = mulAdd(acc3, _mm256_set1_pd((double)a3[p]), bv);
+            }
+            float *c0 = c + i * n + jt;
+            _mm_storeu_ps(c0, _mm256_cvtpd_ps(acc0));
+            _mm_storeu_ps(c0 + n, _mm256_cvtpd_ps(acc1));
+            _mm_storeu_ps(c0 + 2 * n, _mm256_cvtpd_ps(acc2));
+            _mm_storeu_ps(c0 + 3 * n, _mm256_cvtpd_ps(acc3));
+        }
+        for (; i < m; ++i) {
+            const float *ai = a + i * k;
+            __m256d acc = biasStart(row_bias, i);
+            const float *bp = b + jt;
+            for (int64_t p = 0; p < k; ++p, bp += n)
+                acc = mulAdd(acc, _mm256_set1_pd((double)ai[p]),
+                             _mm256_cvtps_pd(_mm_loadu_ps(bp)));
+            _mm_storeu_ps(c + i * n + jt, _mm256_cvtpd_ps(acc));
+        }
+    }
+    // Fewer than 4 columns: the scalar reference loop verbatim.
+    for (; jt < j1; ++jt) {
+        for (int64_t i = 0; i < m; ++i) {
+            const float *ai = a + i * k;
+            double acc = row_bias ? (double)row_bias[i] : 0.0;
+            for (int64_t p = 0; p < k; ++p)
+                acc += (double)ai[p] * (double)b[p * n + jt];
+            c[i * n + jt] = (float)acc;
+        }
+    }
+}
+
 const KernelOps kAvx2Ops{sgemmPanelAvx2, sgemmABtPanelAvx2,
-                         gemmCePanelAvx2};
+                         gemmCePanelAvx2, gemmRowBiasDPanelAvx2};
 
 } // namespace
 

@@ -238,8 +238,10 @@ gemmCePanelSse2(const uint8_t *row_mask, const uint8_t *nibbles,
     }
 }
 
+// The conv-forward double chain has no SSE2 tile: a 128-bit register
+// holds only two doubles, so the table points at the scalar panel.
 const KernelOps kSse2Ops{sgemmPanelSse2, sgemmABtPanelSse2,
-                         gemmCePanelSse2};
+                         gemmCePanelSse2, gemmRowBiasDPanelScalar};
 
 } // namespace
 

@@ -47,7 +47,8 @@ void sgemmABt(const float *a, const float *b, float *c, int64_t m,
  * C (m x n) = (float)(rowBias[i] + sum_p A[i][p] * B[p][j]) with a
  * double accumulator per element in ascending-p order — the conv
  * forward rounding sequence (bias first, round once on store).
- * row_bias may be null for a zero start.
+ * row_bias may be null for a zero start. ISA-dispatched like sgemm
+ * (dispatch.hh); every variant writes the same bytes.
  */
 void gemmRowBiasD(const float *a, const float *b, const float *row_bias,
                   float *c, int64_t m, int64_t k, int64_t n);

@@ -33,6 +33,15 @@ describeException(std::exception_ptr err)
     }
 }
 
+/** overlappedBatches / batches, as ServeEngine::stats() defines it. */
+double
+occupancy(const ServeStats &s)
+{
+    return s.batches > 0
+               ? (double)s.overlappedBatches / (double)s.batches
+               : 0.0;
+}
+
 } // namespace
 
 void
@@ -240,6 +249,11 @@ ServeFront::mergeRetiredLocked(Slot &s, const ServeStats &st) const
     r.latencyWeighted += st.meanLatencyMs * (double)st.requests;
     r.batchWeighted += st.meanBatchSize * (double)st.batches;
     r.maxMs = std::max(r.maxMs, st.maxMs);
+    r.formMs += st.formMs;
+    r.execMs += st.execMs;
+    r.completeMs += st.completeMs;
+    r.decodeStallMs += st.decodeStallMs;
+    r.overlappedBatches += st.overlappedBatches;
 }
 
 void
@@ -460,6 +474,12 @@ ServeFront::stats(const std::string &modelId) const
     s.shed += retired.shed;
     s.batches += retired.batches;
     s.maxMs = std::max(s.maxMs, retired.maxMs);
+    s.formMs += retired.formMs;
+    s.execMs += retired.execMs;
+    s.completeMs += retired.completeMs;
+    s.decodeStallMs += retired.decodeStallMs;
+    s.overlappedBatches += retired.overlappedBatches;
+    s.pipelineOccupancy = occupancy(s);
     s.meanLatencyMs =
         s.requests > 0 ? latWeighted / (double)s.requests : 0.0;
     s.meanBatchSize =
@@ -484,7 +504,13 @@ ServeFront::aggregateStats() const
         batchWeighted += s.meanBatchSize * (double)s.batches;
         if (s.maxMs > agg.maxMs)
             agg.maxMs = s.maxMs;
+        agg.formMs += s.formMs;
+        agg.execMs += s.execMs;
+        agg.completeMs += s.completeMs;
+        agg.decodeStallMs += s.decodeStallMs;
+        agg.overlappedBatches += s.overlappedBatches;
     }
+    agg.pipelineOccupancy = occupancy(agg);
     if (agg.requests > 0)
         agg.meanLatencyMs = latWeighted / (double)agg.requests;
     if (agg.batches > 0)

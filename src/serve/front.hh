@@ -227,16 +227,19 @@ class ServeFront
     void stop() SE_EXCLUDES(mu_);
 
     /** Per-model statistics (latency percentiles included), merged
-     *  across every generation the model has served: counters sum,
-     *  the latency mean is request-weighted, percentiles are the
-     *  current generation's (reservoirs don't merge exactly). A
-     *  streamed model that never saw a submit reports all zeros. */
+     *  across every generation the model has served: counters and
+     *  stage times sum, the latency mean is request-weighted, the
+     *  pipeline occupancy is recomputed from the summed counters,
+     *  percentiles are the current generation's (reservoirs don't
+     *  merge exactly). A streamed model that never saw a submit
+     *  reports all zeros. */
     ServeStats stats(const std::string &modelId) const
         SE_EXCLUDES(mu_);
 
     /**
-     * Counters summed across models, mean latency weighted by
-     * request count, max latency the overall max. Percentiles are a
+     * Counters and stage times summed across models, mean latency
+     * weighted by request count, max latency the overall max,
+     * pipeline occupancy recomputed from the sums. Percentiles are a
      * per-model quantity (per-engine reservoirs can't be merged
      * exactly) and stay 0 here — read stats(modelId) for them.
      */
@@ -293,6 +296,11 @@ class ServeFront
         double latencyWeighted = 0.0;  ///< sum of mean * requests
         double batchWeighted = 0.0;    ///< sum of meanBatch * batches
         double maxMs = 0.0;
+        double formMs = 0.0;
+        double execMs = 0.0;
+        double completeMs = 0.0;
+        double decodeStallMs = 0.0;
+        uint64_t overlappedBatches = 0;
     };
 
     struct Slot

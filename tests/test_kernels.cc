@@ -13,8 +13,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <sstream>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -46,6 +50,21 @@ class ScopedImpl
 
   private:
     kernels::ConvImpl prev_;
+};
+
+/** Force one micro-kernel ISA for a scope, restoring the previous. */
+class ScopedIsa
+{
+  public:
+    explicit ScopedIsa(kernels::KernelIsa isa)
+        : prev_(kernels::activeIsa())
+    {
+        kernels::setActiveIsa(isa);
+    }
+    ~ScopedIsa() { kernels::setActiveIsa(prev_); }
+
+  private:
+    kernels::KernelIsa prev_;
 };
 
 bool
@@ -196,32 +215,61 @@ convSweep()
     return out;
 }
 
+/**
+ * The six distinct conv layers of VGG19-sim (baseWidth 24, 3x8x8
+ * input): 3x3/pad-1 convs at 8x8, 4x4 and 2x2 outputs. The 2x2 stage
+ * is the n = 4 GEMM that lives entirely in the SIMD 4-column stage.
+ */
+std::vector<ConvCfg>
+vgg19SimConvs()
+{
+    std::vector<ConvCfg> out;
+    for (const auto &[c, m, hw] :
+         std::vector<std::tuple<int64_t, int64_t, int64_t>>{
+             {3, 24, 8}, {24, 24, 8}, {24, 48, 4},
+             {48, 48, 4}, {48, 96, 2}, {96, 96, 2}})
+        out.push_back({c, m, 3, 1, 1, 1, 1, hw, hw});
+    return out;
+}
+
 TEST(Kernels, ConvForwardSweepFastVsNaive)
 {
+    // The geometry sweep at batch 2, then VGG19-sim's layers at the
+    // served batch of 16 — each lowered under every ISA variant.
+    std::vector<std::pair<ConvCfg, int64_t>> cases;
+    for (const ConvCfg &cfg : convSweep())
+        cases.push_back({cfg, 2});
+    for (const ConvCfg &cfg : vgg19SimConvs())
+        cases.push_back({cfg, 16});
     int checked = 0;
-    for (const ConvCfg &cfg : convSweep()) {
+    for (const auto &[cfg, batch] : cases) {
         Rng rng(200 + checked);
         nn::Conv2d conv(cfg.c, cfg.m, cfg.k, cfg.stride, cfg.pad,
                         cfg.groups, rng, /*bias=*/true, cfg.dil);
-        Tensor x = randn({2, cfg.c, cfg.h, cfg.w}, rng);
+        Tensor x = randn({batch, cfg.c, cfg.h, cfg.w}, rng);
 
-        Tensor y_naive, y_fast;
+        Tensor y_naive;
         {
             ScopedImpl impl(kernels::ConvImpl::Naive);
             y_naive = conv.forward(x, false);
         }
-        {
+        for (kernels::KernelIsa isa : kernels::supportedIsas()) {
+            ScopedIsa forced(isa);
             ScopedImpl impl(kernels::ConvImpl::Im2colGemm);
-            y_fast = conv.forward(x, false);
+            Tensor y_fast = conv.forward(x, false);
+            // 1e-4 relative would be an acceptable bound; the
+            // lowering actually achieves exactness, which is what
+            // keeps the golden benches byte-stable, so assert the
+            // stronger property.
+            EXPECT_LE(maxRelDiff(y_naive, y_fast), 1e-4);
+            EXPECT_TRUE(bitEqual(y_naive, y_fast))
+                << kernels::isaName(isa) << " c=" << cfg.c
+                << " m=" << cfg.m << " k=" << cfg.k
+                << " stride=" << cfg.stride << " pad=" << cfg.pad
+                << " dil=" << cfg.dil << " groups=" << cfg.groups
+                << " hw=" << cfg.h << "x" << cfg.w
+                << " batch=" << batch;
         }
-        // The issue's acceptance bound is 1e-4 relative; the lowering
-        // actually achieves exactness, which is what keeps the golden
-        // benches byte-stable, so assert the stronger property.
-        EXPECT_LE(maxRelDiff(y_naive, y_fast), 1e-4);
-        EXPECT_TRUE(bitEqual(y_naive, y_fast))
-            << "k=" << cfg.k << " stride=" << cfg.stride
-            << " pad=" << cfg.pad << " dil=" << cfg.dil
-            << " groups=" << cfg.groups;
         ++checked;
     }
     EXPECT_GT(checked, 30);  // the sweep really swept
@@ -487,21 +535,6 @@ TEST(CeGemm, FullySparseAndFullyDenseEdges)
 
 // ------------------------------------------------------ ISA dispatch
 
-/** Force one micro-kernel ISA for a scope, restoring the previous. */
-class ScopedIsa
-{
-  public:
-    explicit ScopedIsa(kernels::KernelIsa isa)
-        : prev_(kernels::activeIsa())
-    {
-        kernels::setActiveIsa(isa);
-    }
-    ~ScopedIsa() { kernels::setActiveIsa(prev_); }
-
-  private:
-    kernels::KernelIsa prev_;
-};
-
 TEST(Dispatch, SupportedIsasStartWithScalarAndMatchActive)
 {
     const auto isas = kernels::supportedIsas();
@@ -680,6 +713,157 @@ TEST(Dispatch, GemmCeBEveryIsaBitIdenticalToScalarAndPanelDecode)
             EXPECT_TRUE(bitEqual(want, got))
                 << kernels::isaName(isa) << " " << rows << "x" << cols
                 << "x" << n;
+        }
+    }
+}
+
+/**
+ * gemmRowBiasD through one ISA's panel, the columns cut into 5-wide
+ * panels fanned over the kernel pool: panels then start at j0 that
+ * are not multiples of the 8-column tile, which the public entry
+ * (tile-aligned splits) never exercises.
+ */
+void
+rowBiasDOddPanels(kernels::KernelIsa isa, const Tensor &a,
+                  const Tensor &b, const float *bias, Tensor &c)
+{
+    const int64_t m = c.dim(0), k = a.dim(1), n = c.dim(1);
+    const auto panel = kernels::opsFor(isa).gemmRowBiasDPanel;
+    constexpr int64_t kW = 5;
+    kernels::parallelFor((n + kW - 1) / kW, [&](int64_t pi) {
+        panel(a.data(), b.data(), bias, c.data(), m, k, n, pi * kW,
+              std::min(n, (pi + 1) * kW));
+    });
+}
+
+/**
+ * Make the double chain's order visible in its float result. Rounded
+ * to float, a double sum rarely shows how its terms were ordered; here
+ * columns q and q+1 of A are made equal and rows q and q+1 of B carry
+ * +-2^60, so p = q adds a term that swallows the running sum (bias
+ * included) and p = q+1 cancels it exactly. An ascending chain then
+ * returns the sum of the terms after q+1 alone; any other order or a
+ * late bias returns something else.
+ */
+void
+plantCancellation(Tensor &a, Tensor &b, Rng &rng)
+{
+    const int64_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
+    if (k < 2)
+        return;
+    const int64_t q = (k - 2) / 2;
+    for (int64_t i = 0; i < m; ++i)
+        a.at(i, q + 1) = a.at(i, q);
+    for (int64_t j = 0; j < n; ++j) {
+        const float big = std::ldexp(rng.chance(0.5) ? 1.0f : -1.0f, 60);
+        b.at(q, j) = big;
+        b.at(q + 1, j) = -big;
+    }
+}
+
+/**
+ * Every ISA's gemmRowBiasD against the scalar panel: the whole column
+ * range in one panel, odd panels over the pool, and the public entry.
+ */
+void
+expectRowBiasDMatchesScalar(const Tensor &a, const Tensor &b,
+                            const float *bias, const std::string &tag)
+{
+    const int64_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
+    Tensor want({m, n});
+    kernels::opsFor(kernels::KernelIsa::Scalar)
+        .gemmRowBiasDPanel(a.data(), b.data(), bias, want.data(), m, k,
+                           n, 0, n);
+    for (kernels::KernelIsa isa : kernels::supportedIsas()) {
+        Tensor whole({m, n}), odd({m, n}), entry({m, n});
+        kernels::opsFor(isa).gemmRowBiasDPanel(
+            a.data(), b.data(), bias, whole.data(), m, k, n, 0, n);
+        rowBiasDOddPanels(isa, a, b, bias, odd);
+        {
+            ScopedIsa forced(isa);
+            kernels::gemmRowBiasD(a.data(), b.data(), bias,
+                                  entry.data(), m, k, n);
+        }
+        EXPECT_TRUE(bitEqual(want, whole)) << kernels::isaName(isa) << tag;
+        EXPECT_TRUE(bitEqual(want, odd)) << kernels::isaName(isa) << tag;
+        EXPECT_TRUE(bitEqual(want, entry)) << kernels::isaName(isa) << tag;
+    }
+}
+
+TEST(Dispatch, GemmRowBiasDEveryIsaBitIdenticalToScalar)
+{
+    if (kernels::isaSupported(kernels::KernelIsa::Avx2)) {
+        EXPECT_NE(
+            kernels::opsFor(kernels::KernelIsa::Avx2).gemmRowBiasDPanel,
+            kernels::opsFor(kernels::KernelIsa::Scalar).gemmRowBiasDPanel);
+    }
+    Rng rng(206);
+    kernels::configureThreads(4);
+    for (int64_t m : {1, 2, 3, 4, 5, 7, 96})
+        for (int64_t k : {0, 1, 27, 864})
+            for (int64_t n : {1, 3, 4, 5, 7, 8, 9, 12, 16, 17, 64})
+                for (bool cancel : {false, true}) {
+                    Tensor a = randn({m, k}, rng);
+                    Tensor b = randn({k, n}, rng);
+                    Tensor bias = randn({m}, rng);
+                    if (cancel)
+                        plantCancellation(a, b, rng);
+                    std::ostringstream tag;
+                    tag << " " << m << "x" << k << "x" << n
+                        << " cancel=" << cancel;
+                    expectRowBiasDMatchesScalar(a, b, nullptr,
+                                                tag.str() + " no bias");
+                    expectRowBiasDMatchesScalar(a, b, bias.data(),
+                                                tag.str() + " bias");
+                }
+    kernels::configureThreads(1);
+}
+
+TEST(Dispatch, GemmRowBiasDNonFiniteAgreesAcrossIsas)
+{
+    // Infinities and NaNs planted in A, B and the bias. Every variant
+    // must agree with scalar on which outputs are NaN and, elsewhere,
+    // on every byte (so on the sign of each infinity). NaN payloads
+    // are not part of the contract and are not compared.
+    Rng rng(207);
+    const int64_t m = 13, k = 31, n = 21;
+    Tensor a = randn({m, k}, rng);
+    Tensor b = randn({k, n}, rng);
+    Tensor bias = randn({m}, rng);
+    const float inf = std::numeric_limits<float>::infinity();
+    const float specials[] = {inf, -inf, std::nanf("")};
+    for (int s = 0; s < 12; ++s) {
+        const float v = specials[s % 3];
+        a[rng.integer(0, a.size() - 1)] = v;
+        b[rng.integer(0, b.size() - 1)] = v;
+    }
+    bias[2] = inf;
+    bias[5] = -inf;
+    bias[7] = std::nanf("");
+    Tensor want({m, n});
+    kernels::opsFor(kernels::KernelIsa::Scalar)
+        .gemmRowBiasDPanel(a.data(), b.data(), bias.data(), want.data(),
+                           m, k, n, 0, n);
+    int nans = 0, infs = 0;
+    for (int64_t i = 0; i < want.size(); ++i) {
+        nans += std::isnan(want[i]);
+        infs += std::isinf(want[i]);
+    }
+    ASSERT_GT(nans, 0);
+    ASSERT_GT(infs, 0);
+    for (kernels::KernelIsa isa : kernels::supportedIsas()) {
+        Tensor got({m, n});
+        kernels::opsFor(isa).gemmRowBiasDPanel(
+            a.data(), b.data(), bias.data(), got.data(), m, k, n, 0, n);
+        for (int64_t i = 0; i < want.size(); ++i) {
+            if (std::isnan(want[i])) {
+                EXPECT_TRUE(std::isnan(got[i]))
+                    << kernels::isaName(isa) << " element " << i;
+                continue;
+            }
+            EXPECT_EQ(std::memcmp(&want[i], &got[i], sizeof(float)), 0)
+                << kernels::isaName(isa) << " element " << i << ": "
+                << want[i] << " vs " << got[i];
         }
     }
 }

@@ -1224,6 +1224,77 @@ TEST(ServeFrontReload, SwapsGenerationsBitIdenticalZeroDrops)
     front.stop();
 }
 
+TEST(ServeFrontReload, StageCountersSurviveTheFold)
+{
+    // stats() folds a retired generation's stage times and overlap
+    // counter into the live one's, and aggregateStats() sums them
+    // over models; occupancy is recomputed from the merged counters.
+    const auto entryFor = [](uint64_t seed) {
+        ShippedModel m = shipModel(seed);
+        serve::ModelEntry e;
+        e.records = m.records;
+        e.factory = [seed] { return makeServeCnn(seed); };
+        e.seOpts = m.seOpts;
+        e.applyOpts = m.applyOpts;
+        return e;
+    };
+    serve::ModelRegistry reg;
+    reg.add("a", entryFor(67));
+    reg.add("b", entryFor(69));
+    serve::ServeOptions opts;
+    opts.threads = 2;
+    opts.pipeline = true;
+    opts.session.rebuildPerCall = true;
+    opts.session.cacheRebuiltWeights = false;
+    serve::ServeFront front(reg, opts);
+
+    const auto serveSome = [&](const char *id, int count) {
+        std::vector<std::future<Tensor>> futs;
+        for (int i = 0; i < count; ++i)
+            futs.push_back(front.submit(id, makeInput(80 + (uint64_t)i)));
+        front.drain();
+        for (auto &f : futs)
+            f.get();
+    };
+    serveSome("a", 12);
+    serveSome("b", 5);
+    const serve::ServeStats retired = front.engine("a").stats();
+    ASSERT_GT(retired.execMs, 0.0);
+    ASSERT_GT(retired.decodeStallMs, 0.0);
+
+    front.reloadModel("a", entryFor(68));
+    serveSome("a", 3);
+    const serve::ServeStats live = front.engine("a").stats();
+    const serve::ServeStats a = front.stats("a");
+    EXPECT_GE(a.formMs, retired.formMs + live.formMs);
+    EXPECT_GE(a.execMs, retired.execMs + live.execMs);
+    EXPECT_GE(a.completeMs, retired.completeMs + live.completeMs);
+    EXPECT_GE(a.decodeStallMs,
+              retired.decodeStallMs + live.decodeStallMs);
+    EXPECT_GE(a.overlappedBatches,
+              retired.overlappedBatches + live.overlappedBatches);
+    EXPECT_EQ(a.requests, 15u);
+    ASSERT_GT(a.batches, 0u);
+    EXPECT_DOUBLE_EQ(a.pipelineOccupancy,
+                     (double)a.overlappedBatches / (double)a.batches);
+
+    const serve::ServeStats b = front.stats("b");
+    const serve::ServeStats agg = front.aggregateStats();
+    EXPECT_EQ(agg.requests, a.requests + b.requests);
+    EXPECT_EQ(agg.batches, a.batches + b.batches);
+    EXPECT_DOUBLE_EQ(agg.formMs, a.formMs + b.formMs);
+    EXPECT_DOUBLE_EQ(agg.execMs, a.execMs + b.execMs);
+    EXPECT_DOUBLE_EQ(agg.completeMs, a.completeMs + b.completeMs);
+    EXPECT_DOUBLE_EQ(agg.decodeStallMs,
+                     a.decodeStallMs + b.decodeStallMs);
+    EXPECT_EQ(agg.overlappedBatches,
+              a.overlappedBatches + b.overlappedBatches);
+    EXPECT_DOUBLE_EQ(agg.pipelineOccupancy,
+                     (double)agg.overlappedBatches /
+                         (double)agg.batches);
+    front.stop();
+}
+
 TEST(ServeFrontReload, ConcurrentSubmitsRideTheSwap)
 {
     auto gen1 = shipModel(65);

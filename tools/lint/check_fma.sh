@@ -7,12 +7,18 @@
 # enforces this by compiling the TU with -mavx2 and never -mfma; this
 # check enforces it from the other side: compile the TU standalone
 # under the house flag sets, disassemble, and fail on ANY fused
-# multiply-add mnemonic (vfmadd/vfmsub/vfnmadd/vfnmsub).
+# multiply-add mnemonic (vfmadd/vfmsub/vfnmadd/vfnmsub). It also
+# fails when the object carries no packed-double ymm arithmetic
+# (vmulpd/vaddpd on %ymm): the conv-forward double-chain kernel lives
+# in this TU, so its absence means the scan did not cover it.
 #
 #   tools/lint/check_fma.sh              # the gate (CI, ctest -L lint)
 #   tools/lint/check_fma.sh --self-test  # seed a violation (-mfma
 #                                        # -ffp-contract=fast) and
-#                                        # assert the detector fires
+#                                        # assert the detector fires;
+#                                        # build without -mavx2 and
+#                                        # assert the double-chain
+#                                        # detector finds nothing
 #
 # Exit 0 = clean (or self-test detector fired); non-zero otherwise.
 # Runs from the repo root. $CXX overrides the compiler (default c++).
@@ -39,6 +45,11 @@ count_ymm() {
     objdump -d "$1" | grep -c '%ymm' || true
 }
 
+# Packed-double ymm multiplies/adds: the AVX2 double-chain kernel.
+count_pd_ymm() {
+    objdump -d "$1" | grep -E 'v(mul|add)pd' | grep -c '%ymm' || true
+}
+
 compile() {
     # $1 = output object, rest = extra flags
     out="$1"; shift
@@ -58,8 +69,19 @@ if [ "${1:-}" = "--self-test" ]; then
              "the detector is blind" >&2
         exit 1
     fi
+    # Without -mavx2 the TU is the nullptr fallback: the double-chain
+    # detector must report nothing there, or it could never fire.
+    compile "$WORK/fallback.o" -O2
+    pd=$(count_pd_ymm "$WORK/fallback.o")
+    if [ "$pd" -ne 0 ]; then
+        echo "check_fma SELF-TEST FAILED: found $pd packed-double" \
+             "ymm instructions in a build without -mavx2 — the" \
+             "double-chain detector is blind" >&2
+        exit 1
+    fi
     echo "check_fma self-test OK: detector fired ($n fused" \
-         "instructions in the seeded build)"
+         "instructions in the seeded build); double-chain detector" \
+         "silent on the non-AVX2 build"
     exit 0
 fi
 
@@ -74,6 +96,14 @@ for flags in "-O2 -mavx2" "-O2 -DNDEBUG -mavx2" "-O3 -DNDEBUG -mavx2"; do
         status=1
         continue
     fi
+    pd=$(count_pd_ymm "$WORK/gate.o")
+    if [ "$pd" -eq 0 ]; then
+        echo "check_fma: [$flags] has no packed-double ymm" \
+             "arithmetic (vmulpd/vaddpd) — the conv-forward double" \
+             "chain is not in the checked TU" >&2
+        status=1
+        continue
+    fi
     n=$(count_fma "$WORK/gate.o")
     if [ "$n" -ne 0 ]; then
         echo "check_fma: [$flags] emitted $n fused multiply-add" \
@@ -82,7 +112,8 @@ for flags in "-O2 -mavx2" "-O2 -DNDEBUG -mavx2" "-O3 -DNDEBUG -mavx2"; do
         objdump -d "$WORK/gate.o" | grep -E "$FMA_RE" | head -5 >&2
         status=1
     else
-        echo "check_fma: [$flags] clean ($ymm ymm refs, 0 fused)"
+        echo "check_fma: [$flags] clean ($ymm ymm refs, $pd" \
+             "packed-double ymm ops, 0 fused)"
     fi
 done
 exit $status
