@@ -26,10 +26,10 @@
  *    completed+shed == offered conservation check;
  *  - flush policy: Deadline vs Full p99 at equal paced offered load
  *    (the latency/throughput knob made visible);
- *  - pipelined streaming execution: the streamed-v4 CeDirect bundle
- *    served by the serial one-request loop vs the stage-decoupled
- *    engine with prefetch/pipelining off and on, with decode-stall,
- *    prefetch hit/miss and pipeline-occupancy counters;
+ *  - streamed prefetch: the streamed-v4 CeDirect bundle served by
+ *    the serial one-request loop vs the engine with the loader's
+ *    prefetch lane off and on, with piece-decode stall, rebuild
+ *    stall and prefetch hit/miss counters;
  *  - engine latency percentiles.
  *
  * Usage: ./bench_serve [--smoke] [threads] [requests]
@@ -37,18 +37,16 @@
  * --smoke shrinks the run and turns the noise-tolerant invariants
  * into exit gates (batched >= serial, deadline p99 < full p99,
  * v3 <= 60% of v2 bytes, v4 <= 90% of v3 bytes, lazy v4 cold start
- * < eager, pipelined >= 1.15x the serial loop with a shrinking
- * rebuild stall and ~0 prefetched decode stall) on top of the
- * always-gated bit-identity/warm<cold checks — the Release CI job
- * runs it on every PR.
+ * < eager, the prefetching engine >= 1.15x the serial loop with ~0
+ * prefetched decode stall) on top of the always-gated
+ * bit-identity/warm<cold checks — the Release CI job runs it on
+ * every PR.
  *
  * SE_SERVE_QUEUE_CAP / SE_SERVE_DEADLINE_MS / SE_SERVE_WEIGHT_SOURCE
  * / SE_MODEL_FORMAT (via RuntimeOptions::fromEnv) override the
  * admission cap, deadline, serving weight source and reported save
- * format used by the respective sections. SE_PIPELINE switches the
- * per-call engine section to the stage-decoupled loop (responses
- * must not change) and SE_PREFETCH_DEPTH sets the lookahead the
- * pipeline section's prefetch lane uses.
+ * format used by the respective sections. SE_PREFETCH_DEPTH sets
+ * the lookahead the stream-prefetch section's lane uses.
  *
  * SE_FAILPOINTS=<spec> switches the whole run into a fault drill:
  * the perf sections are skipped (faults would corrupt their timings)
@@ -652,14 +650,10 @@ main(int argc, char **argv)
             serve::ServeOptions opts;
             opts.threads = thread_counts[ti];
             opts.maxBatch = 16;
-            // SE_PIPELINE flips this section's engines to the
-            // stage-decoupled loop; responses must stay identical.
-            opts.pipeline = run_opts.servePipeline;
             opts.session.rebuildPerCall = true;
             opts.session.cacheRebuiltWeights = false;
             opts.session.weightSource = weight_source;
             opts.session.denseState = dense;
-            opts.session.pipelineRebuild = run_opts.servePipeline;
             serve::ServeEngine engine(records, factory, se_opts,
                                       apply_opts, opts);
             auto t0 = Clock::now();
@@ -680,14 +674,12 @@ main(int argc, char **argv)
             auto st = engine.stats();
             std::printf(
                 "    {\"threads\": %d, \"max_batch\": 16, "
-                "\"pipeline\": %s, "
                 "\"ms\": %.2f, \"rps\": %.1f, "
                 "\"mean_batch\": %.1f, \"p50_ms\": %.2f, "
                 "\"p95_ms\": %.2f, \"p99_ms\": %.2f, "
                 "\"bit_identical\": %s}%s\n",
-                thread_counts[ti],
-                bench::jsonBool(run_opts.servePipeline), ms, rps,
-                st.meanBatchSize, st.p50Ms, st.p95Ms, st.p99Ms,
+                thread_counts[ti], ms, rps, st.meanBatchSize,
+                st.p50Ms, st.p95Ms, st.p99Ms,
                 bench::jsonBool(digest == serial_digest),
                 bench::jsonSep(ti, thread_counts.size()));
         }
@@ -1139,26 +1131,22 @@ main(int argc, char **argv)
             full_p99 / deadline_p99);
     }
 
-    // --- pipelined streaming execution -----------------------------
+    // --- streamed prefetch ------------------------------------------
     // The v4 bundle served CeDirect at three rungs of the same work:
     // the serial one-request-at-a-time loop (every request pays a
-    // full inline rebuild), the stage-decoupled engine with
-    // everything off, and with everything on — prefetch lane decoding
-    // pieces ahead of the consumer, the session rebuilding layer
-    // group g+1 while group g's GEMMs run, and the engine's
-    // admit -> form -> execute -> complete stages overlapped.
-    // Responses must be bit-identical on all three rungs; --smoke
-    // additionally gates pipelined >= 1.15x the serial loop and the
-    // rebuild stall shrinking against the serial-stage engine, both
-    // on medians over paired engine trials.
-    bool pipe_identical, prefetch_clean;
-    double pipe_speedup, pipe_stall_ms[2];
+    // full inline rebuild), then the engine with the loader's
+    // prefetch lane off and on (the lane decodes pieces ahead of the
+    // consumer). Responses must be bit-identical on all three rungs;
+    // --smoke additionally gates the prefetching engine >= 1.15x the
+    // serial loop on the median over paired engine trials.
+    bool prefetch_identical, prefetch_clean;
+    double prefetch_speedup;
     double stream_stall_inline_ms, stream_stall_lane_ms;
     {
-        const int pipe_n = std::min(requests, 64);
+        const int pf_n = std::min(requests, 64);
         std::vector<core::SeLayerRecord> qrecords = *records;
         core::quantizeBasisAtCompress(qrecords);
-        const char *path = "/tmp/se_bench_serve_pipe.sexm";
+        const char *path = "/tmp/se_bench_serve_prefetch.sexm";
         {
             std::ostringstream os(std::ios::binary);
             core::saveModelV4(os, qrecords, *dense);
@@ -1210,7 +1198,7 @@ main(int argc, char **argv)
                  traffic[0].dim(2)}));  // warmup allocation paths
             uint64_t digest = kFnvOffsetBasis;
             auto t0 = Clock::now();
-            for (int i = 0; i < pipe_n; ++i) {
+            for (int i = 0; i < pf_n; ++i) {
                 const Tensor &x = traffic[(size_t)i % traffic.size()];
                 Tensor y = session.forward(x.reshaped(
                     {1, x.dim(0), x.dim(1), x.dim(2)}));
@@ -1218,48 +1206,44 @@ main(int argc, char **argv)
                     hashTensor(y.reshaped({y.size()}), digest);
             }
             const double ms = msSince(t0);
-            serial_loop_rps = 1000.0 * pipe_n / ms;
+            serial_loop_rps = 1000.0 * pf_n / ms;
             serial_digest = digest;
         }
 
-        // Rungs 2 and 3: the engine with SE_PIPELINE off, then on,
-        // in kPipeTrials interleaved pairs. A single pair's rebuild
-        // stalls are a few ms and swing either way with scheduling,
-        // so every reported figure (and the stall gate) is the
-        // median over the pairs; every trial must answer
-        // bit-identically and keep the prefetch accounting exact.
-        constexpr int kPipeTrials = 7;
+        // Rungs 2 and 3: the engine with the prefetch lane off, then
+        // on, in kTrials interleaved pairs. One pair's figures swing
+        // with scheduling, so every reported figure (and the speedup
+        // gate) is the median over the pairs; every trial must
+        // answer bit-identically and keep the prefetch accounting
+        // exact.
+        constexpr int kTrials = 7;
         struct EngineRun
         {
-            double rps, stall, occ, form, exec, complete;
-            double overlapped, hits, misses;
+            double rps, stall, form, exec, complete, hits, misses;
             uint64_t errors;
         };
         std::vector<EngineRun> runs[2];
         bool trials_identical = true;
-        for (int trial = 0; trial < kPipeTrials; ++trial)
+        for (int trial = 0; trial < kTrials; ++trial)
             for (int v = 0; v < 2; ++v) {
-                const bool on = v == 1;
                 core::StreamLoaderOptions lo;
-                lo.prefetchDepth = on ? depth : 0;
+                lo.prefetchDepth = v == 1 ? depth : 0;
                 core::StreamedModel sm(path, lo);
                 serve::ServeOptions opts;
-                opts.pipeline = on;
                 opts.threads = max_threads;
                 opts.maxBatch = 16;
                 opts.session.rebuildPerCall = true;
                 opts.session.cacheRebuiltWeights = false;
                 opts.session.weightSource =
                     serve::WeightSource::CeDirect;
-                opts.session.pipelineRebuild = on;
                 opts.session.denseState = std::make_shared<
                     const std::vector<core::DenseTensor>>(sm.dense());
                 serve::ServeEngine engine(sm.records(), factory,
                                           se_opts, apply_opts, opts);
                 auto t0 = Clock::now();
                 std::vector<std::future<Tensor>> futs;
-                futs.reserve((size_t)pipe_n);
-                for (int i = 0; i < pipe_n; ++i)
+                futs.reserve((size_t)pf_n);
+                for (int i = 0; i < pf_n; ++i)
                     futs.push_back(engine.submit(
                         traffic[(size_t)i % traffic.size()]));
                 engine.drain();
@@ -1274,10 +1258,8 @@ main(int argc, char **argv)
                 trials_identical =
                     trials_identical && digest == serial_digest;
                 runs[v].push_back(
-                    {1000.0 * pipe_n / ms, st.decodeStallMs,
-                     st.pipelineOccupancy, st.formMs, st.execMs,
-                     st.completeMs, (double)st.overlappedBatches,
-                     (double)ss.prefetchHits,
+                    {1000.0 * pf_n / ms, st.decodeStallMs, st.formMs,
+                     st.execMs, st.completeMs, (double)ss.prefetchHits,
                      (double)ss.prefetchMisses, ss.prefetchErrors});
             }
         std::remove(path);
@@ -1299,53 +1281,40 @@ main(int argc, char **argv)
                                             (double)pieces);
                 mode_errors[v] += r.errors;
             }
-        double mode_rps[2];
-        for (int v = 0; v < 2; ++v) {
-            mode_rps[v] = med(v, &EngineRun::rps);
-            pipe_stall_ms[v] = med(v, &EngineRun::stall);
-        }
+        const double prefetch_rps = med(1, &EngineRun::rps);
 
-        pipe_identical = trials_identical;
+        prefetch_identical = trials_identical;
         prefetch_clean = lane_hits == (uint64_t)pieces && runs_clean;
-        pipe_speedup = mode_rps[1] / serial_loop_rps;
+        prefetch_speedup = prefetch_rps / serial_loop_rps;
 
         std::printf(
-            "  \"pipeline\": {\"env_pipeline\": \"%s\", "
-            "\"prefetch_depth\": %zu, \"requests\": %d, "
+            "  \"stream_prefetch\": {\"prefetch_depth\": %zu, "
+            "\"requests\": %d, "
             "\"stream_decode\": {\"pieces\": %zu, "
             "\"inline_stall_ms\": %.3f, \"lane_stall_ms\": %.3f, "
             "\"lane_hits\": %" PRIu64 "}, "
             "\"serial_loop_rps\": %.1f, \"engine_trials\": %d,\n"
             "    \"engine\": [\n",
-            run_opts.servePipeline ? "on" : "off", depth, pipe_n,
-            pieces, stream_stall_inline_ms, stream_stall_lane_ms,
-            lane_hits, serial_loop_rps, kPipeTrials);
+            depth, pf_n, pieces, stream_stall_inline_ms,
+            stream_stall_lane_ms, lane_hits, serial_loop_rps, kTrials);
         for (int v = 0; v < 2; ++v)
             std::printf(
-                "      {\"pipeline\": %s, \"rps\": %.1f, "
-                "\"decode_stall_ms\": %.3f, \"form_ms\": %.3f, "
+                "      {\"prefetch\": %s, \"rps\": %.1f, "
+                "\"rebuild_stall_ms\": %.3f, \"form_ms\": %.3f, "
                 "\"exec_ms\": %.3f, \"complete_ms\": %.3f, "
-                "\"overlapped_batches\": %.0f, "
-                "\"occupancy\": %.2f, "
                 "\"prefetch_hits\": %.0f, "
                 "\"prefetch_misses\": %.0f, "
                 "\"prefetch_errors\": %" PRIu64 "}%s\n",
-                bench::jsonBool(v == 1), mode_rps[v],
-                pipe_stall_ms[v], med(v, &EngineRun::form),
+                bench::jsonBool(v == 1), med(v, &EngineRun::rps),
+                med(v, &EngineRun::stall), med(v, &EngineRun::form),
                 med(v, &EngineRun::exec), med(v, &EngineRun::complete),
-                med(v, &EngineRun::overlapped),
-                med(v, &EngineRun::occ), med(v, &EngineRun::hits),
-                med(v, &EngineRun::misses), mode_errors[v],
-                bench::jsonSep((size_t)v, 2));
+                med(v, &EngineRun::hits), med(v, &EngineRun::misses),
+                mode_errors[v], bench::jsonSep((size_t)v, 2));
         std::printf(
             "    ],\n"
-            "    \"pipelined_speedup_vs_serial_loop\": %.2f, "
-            "\"stall_reduction\": %.2f, \"bit_identical\": %s},\n",
-            pipe_speedup,
-            pipe_stall_ms[1] > 0.0
-                ? pipe_stall_ms[0] / pipe_stall_ms[1]
-                : 0.0,
-            bench::jsonBool(pipe_identical));
+            "    \"engine_speedup_vs_serial_loop\": %.2f, "
+            "\"bit_identical\": %s},\n",
+            prefetch_speedup, bench::jsonBool(prefetch_identical));
     }
 
     std::printf("  \"responses_bit_identical\": %s\n",
@@ -1368,13 +1337,12 @@ main(int argc, char **argv)
     bool pass = digests_match && conv_identical &&
                 warm_ms < cold_ms && multi_model_identical &&
                 shed_accounted && ce_identical && v3_reload_ok &&
-                v4_ok && pipe_identical && prefetch_clean;
+                v4_ok && prefetch_identical && prefetch_clean;
     if (smoke)
         pass = pass && best_percall_rps >= serial_percall_rps &&
                deadline_p99 < full_p99 && v3_over_v2 <= 0.60 &&
                v4_over_v3 <= 0.90 && v4_lazy_faster &&
-               hot_reload_ok && pipe_speedup >= 1.15 &&
-               pipe_stall_ms[1] < pipe_stall_ms[0] &&
+               hot_reload_ok && prefetch_speedup >= 1.15 &&
                stream_stall_lane_ms <=
                    std::max(0.25 * stream_stall_inline_ms, 0.1);
     return pass ? 0 : 1;

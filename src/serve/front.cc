@@ -33,15 +33,6 @@ describeException(std::exception_ptr err)
     }
 }
 
-/** overlappedBatches / batches, as ServeEngine::stats() defines it. */
-double
-occupancy(const ServeStats &s)
-{
-    return s.batches > 0
-               ? (double)s.overlappedBatches / (double)s.batches
-               : 0.0;
-}
-
 } // namespace
 
 void
@@ -253,7 +244,6 @@ ServeFront::mergeRetiredLocked(Slot &s, const ServeStats &st) const
     r.execMs += st.execMs;
     r.completeMs += st.completeMs;
     r.decodeStallMs += st.decodeStallMs;
-    r.overlappedBatches += st.overlappedBatches;
 }
 
 void
@@ -478,8 +468,6 @@ ServeFront::stats(const std::string &modelId) const
     s.execMs += retired.execMs;
     s.completeMs += retired.completeMs;
     s.decodeStallMs += retired.decodeStallMs;
-    s.overlappedBatches += retired.overlappedBatches;
-    s.pipelineOccupancy = occupancy(s);
     s.meanLatencyMs =
         s.requests > 0 ? latWeighted / (double)s.requests : 0.0;
     s.meanBatchSize =
@@ -508,9 +496,7 @@ ServeFront::aggregateStats() const
         agg.execMs += s.execMs;
         agg.completeMs += s.completeMs;
         agg.decodeStallMs += s.decodeStallMs;
-        agg.overlappedBatches += s.overlappedBatches;
     }
-    agg.pipelineOccupancy = occupancy(agg);
     if (agg.requests > 0)
         agg.meanLatencyMs = latWeighted / (double)agg.requests;
     if (agg.batches > 0)

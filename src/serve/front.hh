@@ -228,8 +228,7 @@ class ServeFront
 
     /** Per-model statistics (latency percentiles included), merged
      *  across every generation the model has served: counters and
-     *  stage times sum, the latency mean is request-weighted, the
-     *  pipeline occupancy is recomputed from the summed counters,
+     *  stage times sum, the latency mean is request-weighted,
      *  percentiles are the current generation's (reservoirs don't
      *  merge exactly). A streamed model that never saw a submit
      *  reports all zeros. */
@@ -238,10 +237,10 @@ class ServeFront
 
     /**
      * Counters and stage times summed across models, mean latency
-     * weighted by request count, max latency the overall max,
-     * pipeline occupancy recomputed from the sums. Percentiles are a
-     * per-model quantity (per-engine reservoirs can't be merged
-     * exactly) and stay 0 here — read stats(modelId) for them.
+     * weighted by request count, max latency the overall max.
+     * Percentiles are a per-model quantity (per-engine reservoirs
+     * can't be merged exactly) and stay 0 here — read
+     * stats(modelId) for them.
      */
     ServeStats aggregateStats() const SE_EXCLUDES(mu_);
 
@@ -300,7 +299,6 @@ class ServeFront
         double execMs = 0.0;
         double completeMs = 0.0;
         double decodeStallMs = 0.0;
-        uint64_t overlappedBatches = 0;
     };
 
     struct Slot

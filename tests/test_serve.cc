@@ -297,6 +297,18 @@ TEST(ServeEngine, FullFlushPolicyWaitsForFullBatches)
     EXPECT_EQ(engine.stats().requests, 7u);
     for (auto &f : futs)
         EXPECT_NO_THROW(f.get());
+
+    // stop() flushes a held partial batch too: everything accepted
+    // is answered and counted, then submits are refused.
+    std::vector<std::future<Tensor>> held;
+    for (int i = 0; i < 2; ++i)
+        held.push_back(engine.submit(makeInput((uint64_t)i)));
+    engine.stop();
+    for (auto &f : held)
+        EXPECT_NO_THROW(f.get());
+    EXPECT_EQ(engine.stats().requests, 9u);
+    EXPECT_THROW(engine.submit(makeInput(4)),
+                 serve::EngineStoppedError);
 }
 
 TEST(ServeEngine, MalformedShapeFailsOnlyItselfNotItsNeighbors)
@@ -1226,9 +1238,8 @@ TEST(ServeFrontReload, SwapsGenerationsBitIdenticalZeroDrops)
 
 TEST(ServeFrontReload, StageCountersSurviveTheFold)
 {
-    // stats() folds a retired generation's stage times and overlap
-    // counter into the live one's, and aggregateStats() sums them
-    // over models; occupancy is recomputed from the merged counters.
+    // stats() folds a retired generation's stage times into the
+    // live one's, and aggregateStats() sums them over models.
     const auto entryFor = [](uint64_t seed) {
         ShippedModel m = shipModel(seed);
         serve::ModelEntry e;
@@ -1243,7 +1254,6 @@ TEST(ServeFrontReload, StageCountersSurviveTheFold)
     reg.add("b", entryFor(69));
     serve::ServeOptions opts;
     opts.threads = 2;
-    opts.pipeline = true;
     opts.session.rebuildPerCall = true;
     opts.session.cacheRebuiltWeights = false;
     serve::ServeFront front(reg, opts);
@@ -1271,12 +1281,8 @@ TEST(ServeFrontReload, StageCountersSurviveTheFold)
     EXPECT_GE(a.completeMs, retired.completeMs + live.completeMs);
     EXPECT_GE(a.decodeStallMs,
               retired.decodeStallMs + live.decodeStallMs);
-    EXPECT_GE(a.overlappedBatches,
-              retired.overlappedBatches + live.overlappedBatches);
     EXPECT_EQ(a.requests, 15u);
     ASSERT_GT(a.batches, 0u);
-    EXPECT_DOUBLE_EQ(a.pipelineOccupancy,
-                     (double)a.overlappedBatches / (double)a.batches);
 
     const serve::ServeStats b = front.stats("b");
     const serve::ServeStats agg = front.aggregateStats();
@@ -1287,11 +1293,6 @@ TEST(ServeFrontReload, StageCountersSurviveTheFold)
     EXPECT_DOUBLE_EQ(agg.completeMs, a.completeMs + b.completeMs);
     EXPECT_DOUBLE_EQ(agg.decodeStallMs,
                      a.decodeStallMs + b.decodeStallMs);
-    EXPECT_EQ(agg.overlappedBatches,
-              a.overlappedBatches + b.overlappedBatches);
-    EXPECT_DOUBLE_EQ(agg.pipelineOccupancy,
-                     (double)agg.overlappedBatches /
-                         (double)agg.batches);
     front.stop();
 }
 
@@ -1416,62 +1417,13 @@ TEST(ServeFrontV4, SubmitVsStopRaceOnColdEntryNoDoubleBuild)
     }
 }
 
-// --------------------------------------- pipelined execution wall
-
-TEST(InferenceSession, PipelinedRebuildBitIdenticalAndCounted)
-{
-    // The rebuild lane re-materializes layer k+1 while layer k's
-    // forward runs; outputs and rebuild counters must match the
-    // serial path exactly, for Dense and CeDirect alike.
-    auto shipped = shipModel(141);
-    for (const auto src :
-         {serve::WeightSource::Dense, serve::WeightSource::CeDirect}) {
-        serve::SessionOptions serial_opts;
-        serial_opts.rebuildPerCall = true;
-        serial_opts.cacheRebuiltWeights = false;
-        serial_opts.weightSource = src;
-        serve::SessionOptions pipe_opts = serial_opts;
-        pipe_opts.pipelineRebuild = true;
-
-        serve::InferenceSession serial(makeServeCnn(141),
-                                       shipped.records,
-                                       shipped.seOpts,
-                                       shipped.applyOpts, serial_opts);
-        serve::InferenceSession piped(makeServeCnn(141),
-                                      shipped.records, shipped.seOpts,
-                                      shipped.applyOpts, pipe_opts);
-        for (int i = 0; i < 4; ++i) {
-            Tensor x = makeInput(1400 + (uint64_t)i, 3);
-            Tensor a = serial.forward(x);
-            Tensor b = piped.forward(x);
-            ASSERT_EQ(a.shape(), b.shape());
-            EXPECT_EQ(std::memcmp(a.data(), b.data(),
-                                  (size_t)a.size() * sizeof(float)),
-                      0)
-                << "call " << i;
-        }
-        EXPECT_EQ(piped.stats().coldRebuilds,
-                  serial.stats().coldRebuilds);
-        EXPECT_EQ(piped.stats().warmRebuilds,
-                  serial.stats().warmRebuilds);
-        EXPECT_EQ(piped.stats().forwardCalls, 4u);
-        // At least the non-entry layers rebuilt concurrently with
-        // compute, and forward never stalled longer than the total
-        // rebuild work.
-        EXPECT_GT(piped.stats().overlappedRebuilds, 0u);
-        EXPECT_GE(piped.stats().decodeStallMs, 0.0);
-        // Serial stall IS the inline rebuild time.
-        EXPECT_DOUBLE_EQ(serial.stats().decodeStallMs,
-                         serial.stats().rebuildMs);
-    }
-}
+// ------------------------------------------- bit-identity wall
 
 TEST(ServePipeline, BitIdentityWallAcrossModesThreadsAndPolicies)
 {
-    // SE_PIPELINE's engine-level contract: the stage-decoupled loop
-    // answers every request bit-identically to the serial loop across
-    // thread counts, flush policies, rebuild policies and weight
-    // sources.
+    // The engine answers every request bit-identically to the
+    // eager-installed reference net across thread counts, flush
+    // policies, rebuild policies and weight sources.
     auto shipped = shipModel(142);
     const int n = 19;
 
@@ -1484,7 +1436,6 @@ TEST(ServePipeline, BitIdentityWallAcrossModesThreadsAndPolicies)
 
     struct Config
     {
-        bool pipeline;
         int threads;
         size_t maxBatch;
         serve::FlushPolicy flush;
@@ -1492,33 +1443,27 @@ TEST(ServePipeline, BitIdentityWallAcrossModesThreadsAndPolicies)
         serve::WeightSource src;
     };
     const Config configs[] = {
-        {false, 0, 4, serve::FlushPolicy::Greedy, true,
+        {0, 4, serve::FlushPolicy::Greedy, true,
          serve::WeightSource::Dense},
-        {true, 0, 4, serve::FlushPolicy::Greedy, true,
+        {1, 4, serve::FlushPolicy::Greedy, true,
+         serve::WeightSource::CeDirect},
+        {3, 5, serve::FlushPolicy::Greedy, true,
+         serve::WeightSource::CeDirect},
+        {2, 8, serve::FlushPolicy::Full, false,
          serve::WeightSource::Dense},
-        {true, 1, 4, serve::FlushPolicy::Greedy, true,
+        {2, 6, serve::FlushPolicy::Deadline, true,
          serve::WeightSource::CeDirect},
-        {false, 3, 5, serve::FlushPolicy::Greedy, true,
-         serve::WeightSource::CeDirect},
-        {true, 3, 5, serve::FlushPolicy::Greedy, true,
-         serve::WeightSource::CeDirect},
-        {true, 2, 8, serve::FlushPolicy::Full, false,
-         serve::WeightSource::Dense},
-        {true, 2, 6, serve::FlushPolicy::Deadline, true,
-         serve::WeightSource::CeDirect},
-        {true, 4, 3, serve::FlushPolicy::Greedy, false,
+        {4, 3, serve::FlushPolicy::Greedy, false,
          serve::WeightSource::CeDirect},
     };
     size_t idx = 0;
     for (const Config &cfg : configs) {
         serve::ServeOptions opts;
-        opts.pipeline = cfg.pipeline;
         opts.threads = cfg.threads;
         opts.maxBatch = cfg.maxBatch;
         opts.flush = cfg.flush;
         opts.session.rebuildPerCall = cfg.perCall;
         opts.session.weightSource = cfg.src;
-        opts.session.pipelineRebuild = cfg.pipeline;
         serve::ServeEngine engine(
             shipped.records, [] { return makeServeCnn(142); },
             shipped.seOpts, shipped.applyOpts, opts);
@@ -1533,59 +1478,20 @@ TEST(ServePipeline, BitIdentityWallAcrossModesThreadsAndPolicies)
         for (auto &f : futs)
             digest = hashTensor(f.get(), digest);
         EXPECT_EQ(digest, refDigest)
-            << "config " << idx << " diverged from the serial "
-            << "reference";
+            << "config " << idx << " diverged from the reference";
 
         auto st = engine.stats();
         EXPECT_EQ(st.requests, (uint64_t)n) << "config " << idx;
         EXPECT_EQ(st.failed, 0u) << "config " << idx;
-        EXPECT_GE(st.pipelineOccupancy, 0.0);
-        EXPECT_LE(st.pipelineOccupancy, 1.0);
-        if (!cfg.pipeline)
-            EXPECT_EQ(st.overlappedBatches, 0u) << "config " << idx;
         ++idx;
     }
 }
 
-TEST(ServePipeline, StopAndDrainSemanticsSurviveStages)
-{
-    // stop() answers everything accepted then refuses; drain()
-    // flushes a Full-policy hold; both with the completer thread in
-    // the publish path.
-    auto shipped = shipModel(143);
-    serve::ServeOptions opts;
-    opts.pipeline = true;
-    opts.threads = 2;
-    opts.maxBatch = 8;
-    opts.flush = serve::FlushPolicy::Full;
-    serve::ServeEngine engine(
-        shipped.records, [] { return makeServeCnn(143); },
-        shipped.seOpts, shipped.applyOpts, opts);
-
-    std::vector<std::future<Tensor>> futs;
-    for (int i = 0; i < 5; ++i)  // partial batch under Full
-        futs.push_back(engine.submit(makeInput(1600 + (uint64_t)i)));
-    engine.drain();  // must flush the hold
-    for (auto &f : futs)
-        EXPECT_NO_THROW(f.get());
-    EXPECT_EQ(engine.stats().requests, 5u);
-
-    for (int i = 0; i < 3; ++i)
-        futs.push_back(engine.submit(makeInput(1700 + (uint64_t)i)));
-    engine.stop();
-    for (size_t i = 5; i < futs.size(); ++i)
-        EXPECT_NO_THROW(futs[i].get());
-    EXPECT_EQ(engine.stats().requests, 8u);
-    EXPECT_THROW(engine.submit(makeInput(1800)),
-                 serve::EngineStoppedError);
-}
-
 TEST(ServePipelineV4, StreamedPrefetchedCeDirectBitIdentical)
 {
-    // End-to-end pipelined streaming: v4 bundle opened with a
-    // prefetch lane, records bound CeDirect, engine pipelined — the
-    // full ROADMAP item 2 path — versus the serial everything-off
-    // path. Identical responses, and the lane's counters add up.
+    // End-to-end streaming: a v4 bundle opened with the prefetch
+    // lane on versus off, records bound CeDirect, served by the
+    // engine. Identical responses, and the lane's counters add up.
     core::SeOptions se_opts;
     se_opts.vectorThreshold = 0.01;
     core::ApplyOptions apply_opts;
@@ -1594,18 +1500,16 @@ TEST(ServePipelineV4, StreamedPrefetchedCeDirectBitIdentical)
     const int n = 12;
 
     std::vector<uint64_t> digests;
-    for (const bool pipelined : {false, true}) {
+    for (const bool prefetch : {false, true}) {
         core::StreamLoaderOptions lo;
-        lo.prefetchDepth = pipelined ? 3 : 0;
+        lo.prefetchDepth = prefetch ? 3 : 0;
         core::StreamedModel sm(path, lo);
         serve::ServeOptions opts;
-        opts.pipeline = pipelined;
         opts.threads = 2;
         opts.maxBatch = 4;
         opts.session.rebuildPerCall = true;
         opts.session.cacheRebuiltWeights = false;
         opts.session.weightSource = serve::WeightSource::CeDirect;
-        opts.session.pipelineRebuild = pipelined;
         opts.session.denseState = std::make_shared<
             const std::vector<core::DenseTensor>>(sm.dense());
         serve::ServeEngine engine(
@@ -1631,7 +1535,7 @@ TEST(ServePipelineV4, StreamedPrefetchedCeDirectBitIdentical)
                   (uint64_t)sm.pieceCount());
         EXPECT_EQ(sm.decodedPieces(), sm.pieceCount());
         EXPECT_EQ(ss.prefetchErrors, 0u);
-        if (!pipelined) {
+        if (!prefetch) {
             EXPECT_EQ(ss.prefetchHits, 0u);
             EXPECT_EQ(ss.prefetchScheduled, 0u);
         }
@@ -1642,7 +1546,7 @@ TEST(ServePipelineV4, StreamedPrefetchedCeDirectBitIdentical)
     }
     ASSERT_EQ(digests.size(), 2u);
     EXPECT_EQ(digests[0], digests[1])
-        << "SE_PIPELINE on/off must not change responses";
+        << "the prefetch lane must not change responses";
 
     // And both match the uncompressed reference.
     uint64_t refDigest = kFnvOffsetBasis;

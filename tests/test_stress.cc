@@ -633,71 +633,5 @@ TEST(ServeEngineStress, InjectedBatchFaultsUnderLoadNeverHang)
     EXPECT_NO_THROW(after.get());
 }
 
-TEST(ServeEngineStress, PipelinedStopDrainRaceConservesEveryRequest)
-{
-    // The stage-decoupled loop adds two hand-off queues (formed_,
-    // done_) and a completer thread between submit() and the
-    // promise. Hammer that machinery: submitters race drain() and
-    // then stop() while pipeline_stage_delay stretches the admit
-    // stage so requests pile up in every queue. Conservation law:
-    // every accepted future resolves (never hangs), every refused
-    // submit throws EngineStoppedError, and the books balance.
-    failpoint::disarmAll();
-    auto shipped = shipTiny(52);
-    serve::ServeOptions opts;
-    opts.pipeline = true;
-    opts.pipelineDepth = 3;
-    opts.threads = 2;
-    opts.maxBatch = 4;
-    serve::ServeEngine engine(
-        shipped.records, [] { return makeTinyCnn(52); },
-        shipped.seOpts, shipped.applyOpts, opts);
-
-    constexpr int submitters = 4, per_thread = 60;
-    std::atomic<int> accepted{0}, refused{0};
-    std::vector<std::vector<std::future<Tensor>>> futs(
-        (size_t)submitters);
-    {
-        failpoint::ScopedArm arm("pipeline_stage_delay", "1in3");
-        std::vector<std::thread> threads;
-        threads.reserve(submitters + 1);
-        for (int t = 0; t < submitters; ++t)
-            threads.emplace_back([&, t] {
-                for (int i = 0; i < per_thread; ++i) {
-                    try {
-                        futs[(size_t)t].push_back(
-                            engine.submit(tinyInput((uint64_t)i)));
-                        accepted++;
-                    } catch (const serve::EngineStoppedError &) {
-                        refused++;
-                    }
-                }
-            });
-        // One thread races drain() against the in-flight flood.
-        threads.emplace_back([&] { engine.drain(); });
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-        engine.stop();
-        for (auto &th : threads)
-            th.join();
-    }
-
-    EXPECT_EQ(accepted.load() + refused.load(),
-              submitters * per_thread);
-    for (auto &vec : futs)
-        for (auto &f : vec) {
-            ASSERT_EQ(f.wait_for(std::chrono::seconds(0)),
-                      std::future_status::ready);
-            EXPECT_NO_THROW(f.get());
-        }
-    auto st = engine.stats();
-    EXPECT_EQ(st.requests, (uint64_t)accepted.load());
-    EXPECT_EQ(st.failed, 0u);
-    EXPECT_LE(st.pipelineOccupancy, 1.0);
-
-    // Stopped means stopped, even with the extra stages.
-    EXPECT_THROW(engine.submit(tinyInput(9)),
-                 serve::EngineStoppedError);
-}
-
 } // namespace
 } // namespace se
