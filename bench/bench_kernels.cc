@@ -1,8 +1,9 @@
 /**
  * @file
  * Kernel-layer GFLOP/s tracker. Emits one JSON object timing the hot
- * compute paths three ways — legacy naive loops, im2col+GEMM on one
- * thread, and im2col+GEMM over the kernel pool — across
+ * compute paths three ways — the legacy naive loops (the
+ * tests/reference/ oracles), im2col+GEMM on one thread, and
+ * im2col+GEMM over the kernel pool — across
  * ResNet/DeepLab-representative conv shapes (reduced spatial scale,
  * paper kernel geometry), a depth-wise shape, a classifier-head
  * Linear and raw square/skinny GEMMs. Every fast result is also
@@ -18,7 +19,7 @@
  * micro-kernel ISA variant vs the scalar reference), the
  * gemm_rowbias_d section (the conv-forward double chain per ISA at
  * the VGG19-sim GEMM shapes) and the gemm_ce_fused section (fused
- * Ce-code decode-in-GEMM vs the staged panel-decode baseline) run in
+ * Ce-code decode-in-GEMM vs the staged panel-decode oracle) run in
  * smoke mode too, and feed the same gate: any bit-divergence or a
  * fused kernel slower than the staged one fails the run.
  */
@@ -42,8 +43,8 @@
 #include "kernels/gemm.hh"
 #include "kernels/kernels.hh"
 #include "kernels/scratch.hh"
-#include "linalg/linalg.hh"
 #include "nn/layers.hh"
+#include "reference/reference.hh"
 
 namespace {
 
@@ -85,16 +86,15 @@ convFlops(const ConvCase &cc)
            cc.k;
 }
 
-/** Wall-clock one conv forward configuration; returns ms/call. */
+/** Wall-clock `reps` calls of fn after one warm-up; ms/call. */
+template <typename F>
 double
-timeConv(nn::Conv2d &conv, const Tensor &x, int reps)
+timeCalls(int reps, F &&fn)
 {
-    conv.forward(x, false);  // warm caches and scratch
+    fn();  // warm caches and scratch
     const auto t0 = SteadyClock::now();
-    for (int r = 0; r < reps; ++r) {
-        Tensor y = conv.forward(x, false);
-        (void)y;
-    }
+    for (int r = 0; r < reps; ++r)
+        fn();
     return msSince(t0) / reps;
 }
 
@@ -113,31 +113,19 @@ runConvCase(const ConvCase &cc, int reps, int pool_threads)
     Tensor x = randn({2, cc.c, cc.h, cc.w}, rng);
 
     ConvResult res;
-    kernels::setDefaultConvImpl(kernels::ConvImpl::Naive);
-    Tensor y_naive = conv.forward(x, false);
-    res.naive_ms = timeConv(conv, x, reps);
+    Tensor y_naive = reference::conv2dForward(conv, x);
+    res.naive_ms =
+        timeCalls(reps, [&] { reference::conv2dForward(conv, x); });
 
-    kernels::setDefaultConvImpl(kernels::ConvImpl::Im2colGemm);
     Tensor y_gemm = conv.forward(x, false);
     res.identical = hashTensor(y_naive) == hashTensor(y_gemm);
 
+    const auto gemm = [&] { conv.forward(x, false); };
     kernels::configureThreads(1);
-    res.gemm1_ms = timeConv(conv, x, reps * 4) ;
+    res.gemm1_ms = timeCalls(reps * 4, gemm);
     kernels::configureThreads(pool_threads);
-    res.gemmN_ms = timeConv(conv, x, reps * 4);
-    kernels::setDefaultConvImpl(kernels::ConvImpl::Auto);
+    res.gemmN_ms = timeCalls(reps * 4, gemm);
     return res;
-}
-
-/** linalg::matmul forced onto the legacy loop (the GEMM reference). */
-Tensor
-naiveMatmul(const Tensor &a, const Tensor &b)
-{
-    const kernels::ConvImpl prev = kernels::defaultConvImpl();
-    kernels::setDefaultConvImpl(kernels::ConvImpl::Naive);
-    Tensor c = linalg::matmul(a, b);
-    kernels::setDefaultConvImpl(prev);
-    return c;
 }
 
 /** Best-of-`rounds` ms/call — robust against scheduler noise. */
@@ -256,10 +244,10 @@ main(int argc, char **argv)
             Tensor b = randn({gc.k, gc.n}, rng);
             const int reps = 5;
 
-            Tensor c_ref = naiveMatmul(a, b);
+            Tensor c_ref = reference::matmul(a, b);
             auto t0 = SteadyClock::now();
             for (int r = 0; r < reps; ++r)
-                naiveMatmul(a, b);
+                reference::matmul(a, b);
             const double naive_ms = msSince(t0) / reps;
 
             kernels::configureThreads(1);
@@ -299,14 +287,12 @@ main(int argc, char **argv)
             Tensor x = randn({16, 512}, rng);
             const int reps = 20;
 
-            kernels::setDefaultConvImpl(kernels::ConvImpl::Naive);
-            Tensor y_ref = fc.forward(x, false);
+            Tensor y_ref = reference::linearForward(fc, x);
             auto t0 = SteadyClock::now();
             for (int r = 0; r < reps; ++r)
-                fc.forward(x, false);
+                reference::linearForward(fc, x);
             const double naive_ms = msSince(t0) / reps;
 
-            kernels::setDefaultConvImpl(kernels::ConvImpl::Auto);
             Tensor y_fast = fc.forward(x, false);
             const bool identical =
                 hashTensor(y_ref) == hashTensor(y_fast);
@@ -434,7 +420,7 @@ main(int argc, char **argv)
         std::printf("  ],\n");
     }
 
-    // --- fused Ce-code GEMM vs the staged panel-decode baseline ---
+    // --- fused Ce-code GEMM vs the staged panel-decode oracle -----
     double fused_speedup = 0.0;
     bool fused_identical = true;
     {
@@ -453,27 +439,25 @@ main(int argc, char **argv)
         kernels::ScratchArena arena;
 
         Tensor staged({m, n});
-        kernels::gemmCeBPanelDecode(packed.rowMask.data(),
-                                    packed.nibbles.data(), m, r,
-                                    basis.data(), n, alpha,
-                                    staged.data(), arena);
+        reference::gemmCeBPanelDecode(packed.rowMask.data(),
+                                      packed.nibbles.data(), m, r,
+                                      basis.data(), n, alpha,
+                                      staged.data(), arena);
         Tensor fused({m, n});
         kernels::gemmCeB(packed.rowMask.data(), packed.nibbles.data(),
-                         m, r, basis.data(), n, alpha, fused.data(),
-                         arena);
+                         m, r, basis.data(), n, alpha, fused.data());
         fused_identical = hashTensor(staged) == hashTensor(fused);
         ok = ok && fused_identical;
 
         const double staged_ms = bestMs(3, reps, [&] {
-            kernels::gemmCeBPanelDecode(
+            reference::gemmCeBPanelDecode(
                 packed.rowMask.data(), packed.nibbles.data(), m, r,
                 basis.data(), n, alpha, staged.data(), arena);
         });
         const double fused_ms = bestMs(3, reps, [&] {
             kernels::gemmCeB(packed.rowMask.data(),
                              packed.nibbles.data(), m, r,
-                             basis.data(), n, alpha, fused.data(),
-                             arena);
+                             basis.data(), n, alpha, fused.data());
         });
         fused_speedup = staged_ms / fused_ms;
         const double flops = 2.0 * m * r * n;

@@ -31,7 +31,6 @@
 
 #include <cstdint>
 
-#include "kernels/scratch.hh"
 #include "quant/quant.hh"
 
 namespace se {
@@ -44,23 +43,11 @@ namespace kernels {
  * bytes); `nibbles` packs the non-zero rows' codes two per byte, low
  * nibble first (nibble = 0 for zero, else sign bit 0x8 | exponent
  * code 1..alpha.numLevels — the core::PackedCe layout). Rows absent
- * from the mask decode to zero. The arena is unused by the fused
- * path and kept for call-site compatibility with the staged variant.
+ * from the mask decode to zero.
  */
 void gemmCeB(const uint8_t *row_mask, const uint8_t *nibbles,
              int64_t m, int64_t r, const float *basis, int64_t n,
-             const quant::Pow2Alphabet &alpha, float *out,
-             ScratchArena &arena);
-
-/**
- * The PR-5 staged variant: decode 128-row panels into the arena and
- * feed sgemm. Kept as the differential/bench baseline the fused
- * kernel is gated against; bit-identical to gemmCeB by construction.
- */
-void gemmCeBPanelDecode(const uint8_t *row_mask, const uint8_t *nibbles,
-                        int64_t m, int64_t r, const float *basis,
-                        int64_t n, const quant::Pow2Alphabet &alpha,
-                        float *out, ScratchArena &arena);
+             const quant::Pow2Alphabet &alpha, float *out);
 
 } // namespace kernels
 } // namespace se

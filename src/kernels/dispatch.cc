@@ -72,49 +72,6 @@ sgemmPanelScalar(const float *__restrict a, const float *__restrict b,
     }
 }
 
-/** sgemmABt over the B-row (output column) range [j0, j1). */
-void
-sgemmABtPanelScalar(const float *__restrict a, const float *__restrict b,
-                    float *__restrict c, int64_t m, int64_t l, int64_t n,
-                    bool accumulate, int64_t j0, int64_t j1)
-{
-    int64_t jt = j0;
-    for (; jt + kNr <= j1; jt += kNr) {
-        const float *br[kNr];
-        for (int jj = 0; jj < kNr; ++jj)
-            br[jj] = b + (jt + jj) * l;
-        for (int64_t i = 0; i < m; ++i) {
-            const float *ai = a + i * l;
-            float *ci = c + i * n + jt;
-            float acc[kNr];
-            for (int jj = 0; jj < kNr; ++jj)
-                acc[jj] = accumulate ? ci[jj] : 0.0f;
-            for (int64_t p = 0; p < l; ++p) {
-                const float av = ai[p];
-                if (av == 0.0f)
-                    continue;
-                for (int jj = 0; jj < kNr; ++jj)
-                    acc[jj] += av * br[jj][p];
-            }
-            for (int jj = 0; jj < kNr; ++jj)
-                ci[jj] = acc[jj];
-        }
-    }
-    for (; jt < j1; ++jt) {
-        const float *bj = b + jt * l;
-        for (int64_t i = 0; i < m; ++i) {
-            const float *ai = a + i * l;
-            float acc = accumulate ? c[i * n + jt] : 0.0f;
-            for (int64_t p = 0; p < l; ++p) {
-                const float av = ai[p];
-                if (av != 0.0f)
-                    acc += av * bj[p];
-            }
-            c[i * n + jt] = acc;
-        }
-    }
-}
-
 /** Extract packed nibble `idx` (two codes per byte, low first). */
 inline uint8_t
 nibbleAt(const uint8_t *nibbles, int64_t idx)
@@ -249,8 +206,7 @@ gemmRowBiasDPanelScalar(const float *__restrict a,
 
 namespace {
 
-const KernelOps kScalarOps{sgemmPanelScalar, sgemmABtPanelScalar,
-                           gemmCePanelScalar,
+const KernelOps kScalarOps{sgemmPanelScalar, gemmCePanelScalar,
                            detail::gemmRowBiasDPanelScalar};
 
 bool

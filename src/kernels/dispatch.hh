@@ -3,8 +3,8 @@
  * Runtime CPU-feature dispatch for the GEMM micro-kernels: the
  * float-chain kernels and the conv-forward double chain.
  *
- * The sgemm/sgemmABt column-panel kernels and the fused Ce-code panel
- * kernel exist in up to three explicitly register-tiled variants —
+ * The sgemm column-panel kernel and the fused Ce-code panel kernel
+ * exist in up to three explicitly register-tiled variants —
  * scalar (the reference, byte-for-byte the legacy rounding sequence),
  * SSE2 (4-lane tiles) and AVX2 (8-lane, 2x16 register tiles). The
  * conv-forward double chain (gemmRowBiasD) has a scalar reference,
@@ -83,7 +83,7 @@ void setActiveIsa(KernelIsa isa);
 
 /**
  * One micro-kernel variant: the column-panel bodies dispatched by
- * sgemm / sgemmABt / gemmCeB / gemmRowBiasD. Panels are [j0, j1)
+ * sgemm / gemmCeB / gemmRowBiasD. Panels are [j0, j1)
  * output-column ranges; every variant computes bit-identical bytes.
  */
 struct KernelOps
@@ -92,10 +92,6 @@ struct KernelOps
     void (*sgemmPanel)(const float *a, const float *b, float *c,
                        int64_t m, int64_t k, int64_t n, bool accumulate,
                        int64_t j0, int64_t j1);
-    /** sgemmABt body: B given (n x l) row-major, over [j0,j1). */
-    void (*sgemmABtPanel)(const float *a, const float *b, float *c,
-                          int64_t m, int64_t l, int64_t n,
-                          bool accumulate, int64_t j0, int64_t j1);
     /**
      * Fused Ce-code body: out(m x n) = decode(Ce)(m x r) * basis over
      * [j0,j1), decoding packed nibbles through the 16-entry alphabet

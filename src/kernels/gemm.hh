@@ -35,15 +35,6 @@ void sgemm(const float *a, const float *b, float *c, int64_t m,
            int64_t k, int64_t n, bool accumulate);
 
 /**
- * C (m x n) = [C +] A (m x l) * B^T with B given (n x l) row-major —
- * the dot-product form used when both operands share their inner
- * dimension layout (gradW = gy * col^T). Float chain, ascending-l,
- * zero entries of A skipped.
- */
-void sgemmABt(const float *a, const float *b, float *c, int64_t m,
-              int64_t l, int64_t n, bool accumulate);
-
-/**
  * C (m x n) = (float)(rowBias[i] + sum_p A[i][p] * B[p][j]) with a
  * double accumulator per element in ascending-p order — the conv
  * forward rounding sequence (bias first, round once on store).

@@ -1,35 +1,19 @@
 #include "kernels/kernels.hh"
 
-#include <atomic>
+#include <climits>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
-#include "base/logging.hh"
+#include "base/env.hh"
 #include "base/mutex.hh"
 
 namespace se {
 namespace kernels {
 
 namespace {
-
-std::atomic<ConvImpl> g_impl{convImplFromEnv()};
-
-int
-threadsFromEnv()
-{
-    // The RuntimeOptions convention: 0 = serial, negative/unset = one
-    // worker per core.
-    int threads = -1;
-    if (const char *t = std::getenv("SE_THREADS"))
-        threads = std::atoi(t);
-    if (threads < 0) {
-        const unsigned hc = std::thread::hardware_concurrency();
-        threads = hc > 0 ? (int)hc : 1;
-    }
-    return threads < 1 ? 1 : threads;
-}
 
 base::Mutex g_pool_mu;
 /** The live pool. Only the pointer is guarded: pool() hands out a
@@ -44,6 +28,18 @@ std::unique_ptr<ThreadPool> g_pool SE_GUARDED_BY(g_pool_mu);
 std::vector<std::unique_ptr<ThreadPool>> g_retired_pools
     SE_GUARDED_BY(g_pool_mu);
 
+/** Pool width for an SE_THREADS value: negative => one worker per
+ *  core, 0 => one worker. */
+int
+poolWidth(int threads)
+{
+    if (threads < 0) {
+        const unsigned hc = std::thread::hardware_concurrency();
+        threads = hc > 0 ? (int)hc : 1;
+    }
+    return threads < 1 ? 1 : threads;
+}
+
 bool &
 serialFlag()
 {
@@ -53,43 +49,19 @@ serialFlag()
 
 } // namespace
 
-ConvImpl
-convImplFromEnv()
+int
+threadsFromEnv()
 {
-    const char *s = std::getenv("SE_CONV_IMPL");
-    if (!s || !*s)
-        return ConvImpl::Auto;
-    if (!std::strcmp(s, "auto"))
-        return ConvImpl::Auto;
-    if (!std::strcmp(s, "naive"))
-        return ConvImpl::Naive;
-    if (!std::strcmp(s, "gemm"))
-        return ConvImpl::Im2colGemm;
-    SE_FATAL("SE_CONV_IMPL must be auto|naive|gemm, got '", s, "'");
-}
-
-ConvImpl
-defaultConvImpl()
-{
-    return g_impl.load(std::memory_order_relaxed);
-}
-
-void
-setDefaultConvImpl(ConvImpl impl)
-{
-    g_impl.store(impl, std::memory_order_relaxed);
-}
-
-bool
-useBitIdenticalFastPath(ConvImpl impl)
-{
-    return impl != ConvImpl::Naive;
-}
-
-bool
-useReassociatingFastPath(ConvImpl impl)
-{
-    return impl == ConvImpl::Im2colGemm;
+    const char *t = std::getenv("SE_THREADS");
+    if (!t)
+        return -1;
+    const long long v = envInt("SE_THREADS", t);
+    // Reject before narrowing: SE_THREADS=4294967296 must not wrap to
+    // 0 and silently select the serial path.
+    if (v < INT_MIN || v > INT_MAX)
+        throw std::invalid_argument("SE_THREADS out of range: '" +
+                                    std::string(t) + "'");
+    return (int)v;
 }
 
 ThreadPool &
@@ -97,7 +69,8 @@ pool()
 {
     base::LockGuard lk(g_pool_mu);
     if (!g_pool)
-        g_pool = std::make_unique<ThreadPool>(threadsFromEnv());
+        g_pool =
+            std::make_unique<ThreadPool>(poolWidth(threadsFromEnv()));
     return *g_pool;
 }
 

@@ -1,23 +1,12 @@
 /**
  * @file
- * Process-wide configuration of the se::kernels layer: which conv
- * implementation the nn layers pick by default, and the shared thread
- * pool the blocked GEMM fans out over.
+ * Process-wide state of the se::kernels layer: the shared thread pool
+ * the blocked GEMM fans out over, and the SerialScope that keeps
+ * outer fan-out layers off it.
  *
- * Environment knobs (read once, overridable programmatically):
- *  - SE_CONV_IMPL = auto | naive | gemm
- *      auto  (default): forward passes lower onto im2col+GEMM (the
- *             fast path is bit-identical to the legacy loops, so
- *             golden outputs are unchanged); conv backward keeps the
- *             legacy loop, whose float accumulation order a GEMM
- *             lowering cannot reproduce exactly.
- *      naive: every layer runs the legacy scalar loops (the escape
- *             hatch correctness tests diff against).
- *      gemm:  backward lowers onto GEMM too; gradW/gradB stay
- *             bit-identical, gx agrees to ~1e-4 relative (col2im
- *             re-associates the scatter-add).
- *  - SE_THREADS: kernel pool width. 0 => serial, negative or unset
- *      => one worker per core (the same convention as RuntimeOptions).
+ * SE_THREADS sets the pool width when the pool is first used: 0 or 1
+ * => one worker (serial), negative or unset => one worker per core
+ * (the RuntimeOptions convention). A malformed value throws.
  *
  * Every kernel is deterministic and thread-count invariant: each
  * output element is accumulated by exactly one worker in a fixed
@@ -34,40 +23,14 @@
 namespace se {
 namespace kernels {
 
-/** Which lowering the nn layers use. */
-enum class ConvImpl {
-    Auto,        ///< fast where bit-identical, legacy elsewhere
-    Naive,       ///< legacy scalar loops everywhere
-    Im2colGemm,  ///< im2col + blocked GEMM everywhere
-};
-
 /**
- * Parse SE_CONV_IMPL from the environment (the single parser — the
- * process-wide default and RuntimeOptions::fromEnv both use it).
- * Unset/empty means Auto; anything else but auto|naive|gemm is fatal.
+ * Parse SE_THREADS strictly: unset means -1 ("one worker per core");
+ * anything that is not a whole int with no trailing characters
+ * (SE_THREADS=four, 4x, "", 4294967296) throws std::invalid_argument.
+ * The one parser behind both the kernel pool and
+ * RuntimeOptions::fromEnv; each caller maps the value itself.
  */
-ConvImpl convImplFromEnv();
-
-/** Process-wide default, initialized from SE_CONV_IMPL. */
-ConvImpl defaultConvImpl();
-
-/** Override the process-wide default (benches/tests). */
-void setDefaultConvImpl(ConvImpl impl);
-
-/**
- * Whether a bit-identical lowering (conv forward, Linear both
- * directions, matmul) should take the fast path: yes unless the
- * legacy loops were explicitly requested.
- */
-bool useBitIdenticalFastPath(ConvImpl impl);
-
-/**
- * Whether a re-associating lowering (conv backward's col2im
- * scatter-add) should take the fast path: only when Im2colGemm was
- * explicitly requested — Auto keeps the legacy loop so the
- * golden-pinned retrain benches never move.
- */
-bool useReassociatingFastPath(ConvImpl impl);
+int threadsFromEnv();
 
 /**
  * The shared kernel pool, lazily built with SE_THREADS workers.

@@ -4,8 +4,8 @@
  * directions are bit-identical to the legacy loops: forward carries
  * the same per-output double accumulator over ascending input
  * features, backward continues the same ascending-batch /
- * ascending-output float chains — so ConvImpl::Auto takes the fast
- * path for Linear in training and serving alike.
+ * ascending-output float chains — so nn::Linear runs on it in
+ * training and serving alike.
  */
 
 #ifndef SE_KERNELS_LINEAR_HH

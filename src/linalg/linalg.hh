@@ -6,7 +6,8 @@
  *
  * All matrices are 2-D Tensors in row-major layout. Problem sizes are
  * tiny (B is SxS with S in {1,3,5,7}; Ce has at most a few thousand
- * rows), so clarity is favoured over blocking/vectorization.
+ * rows); matmul and the masked refit run on the blocked kernels of
+ * kernels/gemm.hh, everything else favours clarity.
  */
 
 #ifndef SE_LINALG_LINALG_HH

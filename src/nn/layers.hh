@@ -19,11 +19,9 @@ namespace nn {
  * 2-D convolution in NCHW with square kernels, zero padding and groups.
  * groups == inChannels == outChannels gives a depth-wise convolution.
  *
- * Execution is dispatched through kernels::defaultConvImpl(): the
- * default lowers forward onto im2col + blocked GEMM (bit-identical to
- * the legacy loop, with a per-layer scratch arena instead of per-call
- * buffers) and keeps the legacy backward; SE_CONV_IMPL selects naive
- * or full-GEMM execution (see kernels/kernels.hh).
+ * Forward lowers onto im2col + blocked GEMM (bit-identical to the
+ * legacy loop kept in tests/reference/, with a per-layer scratch arena
+ * instead of per-call buffers); backward is the legacy loop.
  */
 class Conv2d : public Layer
 {
@@ -41,6 +39,7 @@ class Conv2d : public Layer
     Tensor &weightTensor() { return weight; }
     const Tensor &weightTensor() const { return weight; }
     Tensor &biasTensor() { return bias_; }
+    const Tensor &biasTensor() const { return bias_; }
 
     int64_t inChannels() const { return inCh; }
     int64_t outChannels() const { return outCh; }
@@ -51,9 +50,6 @@ class Conv2d : public Layer
     int64_t dilationLen() const { return dil; }
 
   private:
-    Tensor forwardNaive(const Tensor &x) const;
-    Tensor backwardNaive(const Tensor &gy);
-
     int64_t inCh, outCh, kern, strd, pad_, grps, dil;
     bool hasBias;
     Tensor weight, bias_, gradW, gradB;
@@ -62,9 +58,8 @@ class Conv2d : public Layer
 };
 
 /**
- * Fully-connected layer y = x W^T + b, x is (N, C). Dispatched like
- * Conv2d; both directions of the GEMM lowering are bit-identical to
- * the legacy loops, so Auto takes the fast path everywhere.
+ * Fully-connected layer y = x W^T + b, x is (N, C). Both directions
+ * run on GEMM kernels, bit-identical to the legacy loops.
  */
 class Linear : public Layer
 {
@@ -82,14 +77,12 @@ class Linear : public Layer
     const Tensor &weightTensor() const { return weight; }
     /** Bias tensor; empty when constructed with bias = false. */
     Tensor &biasTensor() { return bias_; }
+    const Tensor &biasTensor() const { return bias_; }
 
     int64_t inFeatures() const { return inF; }
     int64_t outFeatures() const { return outF; }
 
   private:
-    Tensor forwardNaive(const Tensor &x) const;
-    Tensor backwardNaive(const Tensor &gy);
-
     int64_t inF, outF;
     bool hasBias;
     Tensor weight, bias_, gradW, gradB;

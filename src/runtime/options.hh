@@ -6,9 +6,6 @@
 #ifndef SE_RUNTIME_OPTIONS_HH
 #define SE_RUNTIME_OPTIONS_HH
 
-#include <cerrno>
-#include <climits>
-#include <cmath>
 #include <cstddef>
 #include <cstdlib>
 #include <cstring>
@@ -17,50 +14,13 @@
 #include <string>
 #include <thread>
 
+#include "base/env.hh"
 #include "base/failpoint.hh"
 #include "kernels/dispatch.hh"
 #include "kernels/kernels.hh"
 
 namespace se {
 namespace runtime {
-
-namespace detail {
-
-/**
- * Strict env-var parsers: every SE_* knob either parses completely or
- * the run refuses to start. The old atoi/atof plumbing silently
- * mapped typos to 0 — SE_THREADS=four used to select the legacy
- * serial path instead of failing, which is the worst possible way to
- * "honor" a perf knob.
- */
-inline long long
-envInt(const char *name, const char *value)
-{
-    char *end = nullptr;
-    errno = 0;
-    const long long out = std::strtoll(value, &end, 10);
-    if (end == value || *end != '\0' || errno == ERANGE)
-        throw std::invalid_argument(std::string(name) +
-                                    " must be an integer, got '" +
-                                    value + "'");
-    return out;
-}
-
-inline double
-envDouble(const char *name, const char *value)
-{
-    char *end = nullptr;
-    errno = 0;
-    const double out = std::strtod(value, &end);
-    if (end == value || *end != '\0' || errno == ERANGE ||
-        !std::isfinite(out))
-        throw std::invalid_argument(std::string(name) +
-                                    " must be a finite number, got '" +
-                                    value + "'");
-    return out;
-}
-
-} // namespace detail
 
 /**
  * Weight storage the serve drivers hand to the serve layer
@@ -89,17 +49,6 @@ struct RuntimeOptions
      * Ignored on the legacy path (threads = 0).
      */
     size_t cacheCapacity = 0;
-    /**
-     * Which conv/GEMM lowering the nn layers use (SE_CONV_IMPL in the
-     * environment: auto | naive | gemm). Results never depend on Auto
-     * vs Naive — the fast forward paths are bit-identical — so like
-     * `threads` this knob only moves wall-clock. Unlike `threads`,
-     * this field is NOT consumed by the pipeline/serve constructors:
-     * kernel dispatch is process-wide, already initialized from
-     * SE_CONV_IMPL, and a *programmatic* override takes effect only
-     * through applyKernelConfig() (see bench_runtime's impl column).
-     */
-    kernels::ConvImpl convImpl = kernels::ConvImpl::Auto;
     /**
      * Which micro-kernel ISA variant the GEMM layer runs
      * (SE_KERNEL_ISA = auto | scalar | sse2 | avx2). Empty (the
@@ -177,14 +126,10 @@ struct RuntimeOptions
      */
     std::string failpoints;
 
-    /**
-     * Install convImpl (and, when set, kernelIsa) as the process-wide
-     * kernel defaults.
-     */
+    /** Install kernelIsa, when set, as the process-wide ISA. */
     void
     applyKernelConfig() const
     {
-        kernels::setDefaultConvImpl(convImpl);
         if (kernelIsa)
             kernels::setActiveIsa(*kernelIsa);
     }
@@ -214,39 +159,27 @@ struct RuntimeOptions
     /**
      * The convention every driver binary shares: one worker per core
      * and a warm cache, with SE_THREADS in the environment overriding
-     * the thread count (0 = legacy serial path) and SE_CONV_IMPL the
-     * kernel lowering. Results never depend on either value — they
-     * only move wall-clock.
+     * the thread count (0 = legacy serial path). Results never depend
+     * on that value — it only moves wall-clock.
      *
      * Every SE_* knob is parsed strictly: a value that is not fully
-     * recognized throws std::invalid_argument (SE_CONV_IMPL keeps
-     * its own fatal rejection in convImplFromEnv) instead of being
+     * recognized throws std::invalid_argument instead of being
      * silently coerced to a default.
      */
     static RuntimeOptions
     fromEnv(size_t cache_capacity = 4096)
     {
         RuntimeOptions ro;
-        ro.threads = -1;
-        if (const char *t = std::getenv("SE_THREADS")) {
-            const long long v = detail::envInt("SE_THREADS", t);
-            // Reject before narrowing: SE_THREADS=4294967296 must
-            // not wrap to 0 and silently select the serial path.
-            if (v < INT_MIN || v > INT_MAX)
-                throw std::invalid_argument(
-                    "SE_THREADS out of range: '" + std::string(t) +
-                    "'");
-            ro.threads = (int)v;
-        }
+        // SE_THREADS shares the kernel pool's strict parser.
+        ro.threads = kernels::threadsFromEnv();
         ro.cacheCapacity = cache_capacity;
-        ro.convImpl = kernels::convImplFromEnv();
         // parseKernelIsa throws std::invalid_argument on anything it
         // does not recognize, matching the other knobs' strictness.
         if (const char *isa = std::getenv("SE_KERNEL_ISA"))
             ro.kernelIsa = kernels::parseKernelIsa(isa);
         if (const char *c = std::getenv("SE_SERVE_QUEUE_CAP")) {
             const long long cap =
-                detail::envInt("SE_SERVE_QUEUE_CAP", c);
+                envInt("SE_SERVE_QUEUE_CAP", c);
             if (cap < 0)
                 throw std::invalid_argument(
                     "SE_SERVE_QUEUE_CAP must be >= 0, got '" +
@@ -255,7 +188,7 @@ struct RuntimeOptions
         }
         if (const char *d = std::getenv("SE_SERVE_DEADLINE_MS"))
             ro.serveDeadlineMs =
-                detail::envDouble("SE_SERVE_DEADLINE_MS", d);
+                envDouble("SE_SERVE_DEADLINE_MS", d);
         if (const char *w = std::getenv("SE_SERVE_WEIGHT_SOURCE")) {
             if (!std::strcmp(w, "dense"))
                 ro.serveWeightSource = ServeWeightSource::Dense;
@@ -268,7 +201,7 @@ struct RuntimeOptions
                     std::string(w) + "'");
         }
         if (const char *f = std::getenv("SE_MODEL_FORMAT")) {
-            const long long v = detail::envInt("SE_MODEL_FORMAT", f);
+            const long long v = envInt("SE_MODEL_FORMAT", f);
             if (v != 2 && v != 3 && v != 4)
                 throw std::invalid_argument(
                     "SE_MODEL_FORMAT must be 2, 3 or 4, got '" +
@@ -287,7 +220,7 @@ struct RuntimeOptions
         }
         if (const char *d = std::getenv("SE_PREFETCH_DEPTH")) {
             const long long v =
-                detail::envInt("SE_PREFETCH_DEPTH", d);
+                envInt("SE_PREFETCH_DEPTH", d);
             if (v < 0)
                 throw std::invalid_argument(
                     "SE_PREFETCH_DEPTH must be >= 0, got '" +

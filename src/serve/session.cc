@@ -5,7 +5,6 @@
 #include "base/clock.hh"
 #include "kernels/ce_gemm.hh"
 #include "kernels/kernels.hh"
-#include "kernels/scratch.hh"
 
 namespace se {
 namespace serve {
@@ -44,12 +43,6 @@ struct InferenceSession::BoundLayer
     bool stale = true;
     bool cacheValid = false;
     Tensor cache;  ///< assembled dense weight (warm-rebuild source)
-    /**
-     * CeDirect decode-panel scratch. Per layer, not per session:
-     * cold rebuild-all fans the disjoint layers over the kernel
-     * pool, so a shared arena would race.
-     */
-    kernels::ScratchArena arena;
 };
 
 InferenceSession::InferenceSession(
@@ -130,8 +123,8 @@ InferenceSession::rebuildLayer(BoundLayer &bl)
         // Cold: reconstruct every Ce*B slice and write it back, the
         // same geometry as core::finishCompression. Under CeDirect
         // the fused gemmCeB decodes the packed 4-bit codes inside the
-        // micro-kernel — no staged float panels, the arena stays cold
-        // (bit-identical to the dense reconstruct at every ISA).
+        // micro-kernel — no staged float panels (bit-identical to the
+        // dense reconstruct at every ISA).
         Tensor &w = *bl.weight;
         for (const auto &bu : bl.units) {
             Tensor recon;
@@ -142,7 +135,7 @@ InferenceSession::rebuildLayer(BoundLayer &bl)
                 kernels::gemmCeB(p.rowMask.data(), p.nibbles.data(),
                                  p.rows, p.cols,
                                  bu.piece->basis.data(), cols,
-                                 p.alphabet, recon.data(), bl.arena);
+                                 p.alphabet, recon.data());
             } else {
                 recon = bu.piece->reconstruct();
             }

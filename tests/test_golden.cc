@@ -112,16 +112,6 @@ TEST(Golden, Fig11DramAccesses)
     expectGolden("bench_fig11", "bench_fig11.txt");
 }
 
-TEST(Golden, Fig11InvariantUnderConvImpl)
-{
-    // The kernel lowering must never leak into paper figures: the
-    // same pinned bytes under the naive loops and the full GEMM path.
-    expectGolden("bench_fig11", "bench_fig11.txt",
-                 "SE_CONV_IMPL=naive");
-    expectGolden("bench_fig11", "bench_fig11.txt",
-                 "SE_CONV_IMPL=gemm");
-}
-
 TEST(Golden, Fig12Speedup)
 {
     expectGolden("bench_fig12", "bench_fig12.txt");

@@ -1,14 +1,12 @@
 /**
  * @file
  * Differential tests of the se::kernels layer against the legacy
- * loops.
+ * loops in tests/reference/.
  *
- * The load-bearing invariant is bit-exactness of the default-on fast
- * paths (conv/linear forward, linear backward, matmul): the golden
- * benches run with these lowerings enabled, so "agrees with naive to
- * the last bit" is exactly "goldens cannot move". The conv backward
- * GEMM path re-associates only the gx scatter-add, so the sweep holds
- * it to 1e-4 relative while gradW/gradB stay exact.
+ * The load-bearing invariant is bit-exactness of the fast paths
+ * (conv/linear forward, linear backward, matmul): the golden benches
+ * run on them, so "agrees with the oracle to the last bit" is exactly
+ * "goldens cannot move".
  */
 
 #include <gtest/gtest.h>
@@ -32,25 +30,11 @@
 #include "linalg/linalg.hh"
 #include "models/zoo.hh"
 #include "nn/layers.hh"
+#include "reference/reference.hh"
 
 namespace {
 
 using namespace se;
-
-/** Flip the process default for one scope. */
-class ScopedImpl
-{
-  public:
-    explicit ScopedImpl(kernels::ConvImpl impl)
-        : prev_(kernels::defaultConvImpl())
-    {
-        kernels::setDefaultConvImpl(impl);
-    }
-    ~ScopedImpl() { kernels::setDefaultConvImpl(prev_); }
-
-  private:
-    kernels::ConvImpl prev_;
-};
 
 /** Force one micro-kernel ISA for a scope, restoring the previous. */
 class ScopedIsa
@@ -75,40 +59,6 @@ bitEqual(const Tensor &a, const Tensor &b)
                        (size_t)a.size() * sizeof(float)) == 0;
 }
 
-/**
- * Largest absolute divergence relative to the reference tensor's
- * magnitude (norm-relative: per-element relative error is meaningless
- * where float cancellation leaves near-zero entries).
- */
-double
-maxRelDiff(const Tensor &a, const Tensor &b)
-{
-    EXPECT_EQ(a.shape(), b.shape());
-    double worst = 0.0, scale = 0.0;
-    for (int64_t i = 0; i < a.size(); ++i) {
-        worst = std::max(worst, std::fabs((double)a[i] - b[i]));
-        scale = std::max(scale, std::fabs((double)a[i]));
-    }
-    return worst / std::max(scale, 1e-30);
-}
-
-/** The legacy matmul loop, kept verbatim as the reference. */
-Tensor
-referenceMatmul(const Tensor &a, const Tensor &b)
-{
-    const int64_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
-    Tensor c({m, n});
-    for (int64_t i = 0; i < m; ++i)
-        for (int64_t p = 0; p < k; ++p) {
-            const float av = a.at(i, p);
-            if (av == 0.0f)
-                continue;
-            for (int64_t j = 0; j < n; ++j)
-                c.at(i, j) += av * b.at(p, j);
-        }
-    return c;
-}
-
 // ------------------------------------------------------------- GEMM
 
 TEST(Kernels, GemmMatchesReferenceBitExact)
@@ -123,7 +73,7 @@ TEST(Kernels, GemmMatchesReferenceBitExact)
     for (const auto &s : shapes) {
         Tensor a = randn({s[0], s[1]}, rng);
         Tensor b = randn({s[1], s[2]}, rng);
-        EXPECT_TRUE(bitEqual(referenceMatmul(a, b),
+        EXPECT_TRUE(bitEqual(reference::matmul(a, b),
                              kernels::gemm(a, b)))
             << s[0] << "x" << s[1] << "x" << s[2];
     }
@@ -144,9 +94,9 @@ TEST(Kernels, GemmAdversarialShapes)
     // 1xN and Nx1 degenerate panels.
     Tensor row = randn({1, 129}, rng);
     Tensor colv = randn({129, 1}, rng);
-    EXPECT_TRUE(bitEqual(referenceMatmul(row, colv),
+    EXPECT_TRUE(bitEqual(reference::matmul(row, colv),
                          kernels::gemm(row, colv)));
-    EXPECT_TRUE(bitEqual(referenceMatmul(colv, row),
+    EXPECT_TRUE(bitEqual(reference::matmul(colv, row),
                          kernels::gemm(colv, row)));
 }
 
@@ -159,7 +109,7 @@ TEST(Kernels, GemmSparseInputsKeepZeroSkipSemantics)
     // must keep the legacy zero-skip byte-compatible.
     for (int64_t i = 0; i < a.size(); i += 3)
         a[i] = 0.0f;
-    EXPECT_TRUE(bitEqual(referenceMatmul(a, b), kernels::gemm(a, b)));
+    EXPECT_TRUE(bitEqual(reference::matmul(a, b), kernels::gemm(a, b)));
 }
 
 TEST(Kernels, MatmulRoutesThroughBlockedKernel)
@@ -167,9 +117,8 @@ TEST(Kernels, MatmulRoutesThroughBlockedKernel)
     Rng rng(104);
     Tensor a = randn({19, 33}, rng);
     Tensor b = randn({33, 21}, rng);
-    Tensor fast = linalg::matmul(a, b);
-    ScopedImpl naive(kernels::ConvImpl::Naive);
-    EXPECT_TRUE(bitEqual(linalg::matmul(a, b), fast));
+    EXPECT_TRUE(
+        bitEqual(reference::matmul(a, b), linalg::matmul(a, b)));
 }
 
 TEST(Kernels, GemmThreadCountInvariant)
@@ -248,21 +197,12 @@ TEST(Kernels, ConvForwardSweepFastVsNaive)
                         cfg.groups, rng, /*bias=*/true, cfg.dil);
         Tensor x = randn({batch, cfg.c, cfg.h, cfg.w}, rng);
 
-        Tensor y_naive;
-        {
-            ScopedImpl impl(kernels::ConvImpl::Naive);
-            y_naive = conv.forward(x, false);
-        }
+        const Tensor y_naive = reference::conv2dForward(conv, x);
         for (kernels::KernelIsa isa : kernels::supportedIsas()) {
             ScopedIsa forced(isa);
-            ScopedImpl impl(kernels::ConvImpl::Im2colGemm);
-            Tensor y_fast = conv.forward(x, false);
-            // 1e-4 relative would be an acceptable bound; the
-            // lowering actually achieves exactness, which is what
-            // keeps the golden benches byte-stable, so assert the
-            // stronger property.
-            EXPECT_LE(maxRelDiff(y_naive, y_fast), 1e-4);
-            EXPECT_TRUE(bitEqual(y_naive, y_fast))
+            // Exactness, not a tolerance: it is what keeps the golden
+            // benches byte-stable.
+            EXPECT_TRUE(bitEqual(y_naive, conv.forward(x, false)))
                 << kernels::isaName(isa) << " c=" << cfg.c
                 << " m=" << cfg.m << " k=" << cfg.k
                 << " stride=" << cfg.stride << " pad=" << cfg.pad
@@ -275,54 +215,11 @@ TEST(Kernels, ConvForwardSweepFastVsNaive)
     EXPECT_GT(checked, 30);  // the sweep really swept
 }
 
-TEST(Kernels, ConvBackwardSweepFastVsNaive)
-{
-    int checked = 0;
-    for (const ConvCfg &cfg : convSweep()) {
-        Rng rng_a(300 + checked), rng_b(300 + checked), rng_x(900);
-        nn::Conv2d naive(cfg.c, cfg.m, cfg.k, cfg.stride, cfg.pad,
-                         cfg.groups, rng_a, true, cfg.dil);
-        nn::Conv2d fast(cfg.c, cfg.m, cfg.k, cfg.stride, cfg.pad,
-                        cfg.groups, rng_b, true, cfg.dil);
-        Tensor x = randn({2, cfg.c, cfg.h, cfg.w}, rng_x);
-
-        Tensor gx_naive, gx_fast, gy;
-        {
-            ScopedImpl impl(kernels::ConvImpl::Naive);
-            Tensor y = naive.forward(x, true);
-            gy = randn(y.shape(), rng_x);
-            gx_naive = naive.backward(gy);
-        }
-        {
-            ScopedImpl impl(kernels::ConvImpl::Im2colGemm);
-            fast.forward(x, true);
-            gx_fast = fast.backward(gy);
-        }
-
-        // gx goes through the re-associating col2im fold: 1e-4.
-        EXPECT_LE(maxRelDiff(gx_naive, gx_fast), 1e-4)
-            << "k=" << cfg.k << " stride=" << cfg.stride
-            << " pad=" << cfg.pad << " dil=" << cfg.dil
-            << " groups=" << cfg.groups;
-        // gradW / gradB keep the exact legacy chains.
-        auto pn = naive.params();
-        auto pf = fast.params();
-        ASSERT_EQ(pn.size(), pf.size());
-        for (size_t i = 0; i < pn.size(); ++i)
-            EXPECT_TRUE(bitEqual(*pn[i].grad, *pf[i].grad))
-                << pn[i].name << " k=" << cfg.k
-                << " stride=" << cfg.stride << " pad=" << cfg.pad
-                << " dil=" << cfg.dil << " groups=" << cfg.groups;
-        ++checked;
-    }
-}
-
 TEST(Kernels, ConvForwardThreadCountInvariant)
 {
     Rng rng(42);
     nn::Conv2d conv(16, 32, 3, 1, 1, 1, rng);
     Tensor x = randn({2, 16, 24, 24}, rng);
-    ScopedImpl impl(kernels::ConvImpl::Im2colGemm);
     kernels::configureThreads(1);
     Tensor serial = conv.forward(x, false);
     kernels::configureThreads(4);
@@ -342,8 +239,7 @@ TEST(Kernels, ScratchArenaGrowOnlyAndRelease)
     EXPECT_EQ(arena.colBuffer(10), p);
     const size_t high_water = arena.floatsReserved();
     arena.transposeBuffer(50);
-    arena.gradBuffer(25);
-    EXPECT_GE(arena.floatsReserved(), high_water + 75);
+    EXPECT_GE(arena.floatsReserved(), high_water + 50);
     arena.release();
     EXPECT_EQ(arena.floatsReserved(), 0u);
 }
@@ -357,7 +253,6 @@ TEST(Kernels, ConvScratchArenaReuseIsStateless)
     Tensor big = randn({1, 4, 20, 20}, rng);
     Tensor small = randn({1, 4, 7, 5}, rng);
 
-    ScopedImpl impl(kernels::ConvImpl::Im2colGemm);
     Tensor first_small = conv.forward(small, false);
     conv.forward(big, false);
     Tensor again_small = conv.forward(small, false);
@@ -370,40 +265,32 @@ TEST(Kernels, LinearForwardBackwardBitExact)
 {
     // Batch sizes on both sides of the transpose heuristic.
     for (int64_t batch : {(int64_t)1, (int64_t)2, (int64_t)16}) {
-        Rng rng_a(500 + (int)batch), rng_b(500 + (int)batch),
-            rng_x(77);
-        nn::Linear naive(37, 19, rng_a);
-        nn::Linear fast(37, 19, rng_b);
+        Rng rng(500 + (int)batch), rng_x(77);
+        nn::Linear fast(37, 19, rng);
         Tensor x = randn({batch, 37}, rng_x);
 
-        Tensor y_naive, gx_naive, y_fast, gx_fast, gy;
-        {
-            ScopedImpl impl(kernels::ConvImpl::Naive);
-            y_naive = naive.forward(x, true);
-            gy = randn(y_naive.shape(), rng_x);
-            gx_naive = naive.backward(gy);
-        }
-        {
-            ScopedImpl impl(kernels::ConvImpl::Im2colGemm);
-            y_fast = fast.forward(x, true);
-            gx_fast = fast.backward(gy);
-        }
+        const Tensor y_naive = reference::linearForward(fast, x);
+        const Tensor y_fast = fast.forward(x, true);
+        const Tensor gy = randn(y_naive.shape(), rng_x);
+        Tensor grad_w({19, 37}), grad_b({19});
+        const Tensor gx_naive =
+            reference::linearBackward(fast, x, gy, grad_w, &grad_b);
+        const Tensor gx_fast = fast.backward(gy);
         EXPECT_TRUE(bitEqual(y_naive, y_fast)) << "batch " << batch;
         EXPECT_TRUE(bitEqual(gx_naive, gx_fast)) << "batch " << batch;
-        auto pn = naive.params();
-        auto pf = fast.params();
-        for (size_t i = 0; i < pn.size(); ++i)
-            EXPECT_TRUE(bitEqual(*pn[i].grad, *pf[i].grad))
-                << pn[i].name << " batch " << batch;
+        const auto pf = fast.params();
+        ASSERT_EQ(pf.size(), 2u);
+        EXPECT_TRUE(bitEqual(grad_w, *pf[0].grad)) << "batch " << batch;
+        EXPECT_TRUE(bitEqual(grad_b, *pf[1].grad)) << "batch " << batch;
     }
 }
 
 // ------------------------------------------- whole-model congruence
 
-TEST(Kernels, SimModelForwardIdenticalAcrossImpls)
+TEST(Kernels, SimModelForwardIdenticalAcrossIsas)
 {
     // End-to-end canary: a full reduced-scale CNN (conv + bn + pool +
-    // fc) must produce byte-identical logits under every lowering.
+    // fc) must produce byte-identical logits under every ISA.
     models::SimConfig cfg;
     cfg.baseWidth = 8;
     cfg.inHeight = cfg.inWidth = 10;
@@ -414,16 +301,13 @@ TEST(Kernels, SimModelForwardIdenticalAcrossImpls)
         randn({2, cfg.inChannels, cfg.inHeight, cfg.inWidth}, rng);
 
     Tensor ref;
-    {
-        ScopedImpl impl(kernels::ConvImpl::Naive);
+    for (kernels::KernelIsa isa : kernels::supportedIsas()) {
+        ScopedIsa forced(isa);
         auto net = models::buildSim(models::ModelId::VGG19, cfg);
-        ref = net->forward(x, false);
-    }
-    for (auto impl_kind :
-         {kernels::ConvImpl::Auto, kernels::ConvImpl::Im2colGemm}) {
-        ScopedImpl impl(impl_kind);
-        auto net = models::buildSim(models::ModelId::VGG19, cfg);
-        EXPECT_TRUE(bitEqual(ref, net->forward(x, false)));
+        Tensor y = net->forward(x, false);
+        if (ref.empty())
+            ref = y;  // scalar, the first entry
+        EXPECT_TRUE(bitEqual(ref, y)) << kernels::isaName(isa);
     }
 }
 
@@ -471,31 +355,22 @@ TEST(CeGemm, BitIdenticalToDenseGemmOnDecodedCodes)
         kernels::sgemm(ce.data(), basis.data(), want.data(), rows,
                        cols, n, false);
         Tensor got({rows, n});
-        kernels::ScratchArena arena;
         kernels::gemmCeB(packed.rowMask.data(),
                          packed.nibbles.data(), rows, cols,
-                         basis.data(), n, a, got.data(), arena);
+                         basis.data(), n, a, got.data());
         EXPECT_EQ(std::memcmp(want.data(), got.data(),
                               (size_t)want.size() * sizeof(float)),
                   0)
             << rows << "x" << cols << "x" << n;
 
         // The Tensor-level dense path (reconstruct ==
-        // linalg::matmul) agrees too, under both lowerings.
+        // linalg::matmul) agrees too, and so does the legacy loop.
         core::SeMatrix m;
         m.ce = ce;
         m.basis = basis;
         m.alphabet = a;
-        for (auto impl_kind :
-             {kernels::ConvImpl::Auto, kernels::ConvImpl::Naive}) {
-            ScopedImpl impl(impl_kind);
-            Tensor recon = m.reconstruct();
-            EXPECT_EQ(
-                std::memcmp(recon.data(), got.data(),
-                            (size_t)recon.size() * sizeof(float)),
-                0)
-                << "impl " << (int)impl_kind;
-        }
+        EXPECT_TRUE(bitEqual(m.reconstruct(), got));
+        EXPECT_TRUE(bitEqual(reference::matmul(ce, basis), got));
     }
 }
 
@@ -506,14 +381,13 @@ TEST(CeGemm, FullySparseAndFullyDenseEdges)
     a.expMax = 2;  // covers the 0.5 / -2.0 codes below
     a.numLevels = 7;
     Tensor basis = randn({3, 5}, rng);
-    kernels::ScratchArena arena;
 
     Tensor zero({10, 3});  // all rows zero: empty nibble stream
     auto pz = core::packCe(zero, a);
     EXPECT_EQ(pz.nonZeroRows, 0);
     Tensor out({10, 5}, 1.0f);
     kernels::gemmCeB(pz.rowMask.data(), pz.nibbles.data(), 10, 3,
-                     basis.data(), 5, a, out.data(), arena);
+                     basis.data(), 5, a, out.data());
     for (int64_t i = 0; i < out.size(); ++i)
         EXPECT_EQ(out[i], 0.0f);
 
@@ -527,7 +401,7 @@ TEST(CeGemm, FullySparseAndFullyDenseEdges)
                    false);
     Tensor got({10, 5});
     kernels::gemmCeB(pd.rowMask.data(), pd.nibbles.data(), 10, 3,
-                     basis.data(), 5, a, got.data(), arena);
+                     basis.data(), 5, a, got.data());
     EXPECT_EQ(std::memcmp(want.data(), got.data(),
                           (size_t)want.size() * sizeof(float)),
               0);
@@ -620,38 +494,6 @@ TEST(Dispatch, SgemmEveryIsaBitIdenticalToScalar)
     }
 }
 
-TEST(Dispatch, SgemmABtEveryIsaBitIdenticalToScalar)
-{
-    Rng rng(202);
-    const std::vector<std::vector<int64_t>> shapes{
-        {1, 1, 1},  {1, 17, 1},  {9, 1, 13},   {5, 0, 7},
-        {17, 23, 9}, {32, 16, 24}, {33, 15, 17}, {96, 31, 40},
-    };
-    for (const auto &s : shapes) {
-        const int64_t m = s[0], l = s[1], n = s[2];
-        Tensor a = sparseRandn(rng, m, l);
-        Tensor b = sparseRandn(rng, n, l);  // B is n x l, used as B^T
-        for (bool accumulate : {false, true}) {
-            Tensor seed = randn({m, n}, rng);
-            Tensor want = seed;
-            {
-                ScopedIsa isa(kernels::KernelIsa::Scalar);
-                kernels::sgemmABt(a.data(), b.data(), want.data(), m,
-                                  l, n, accumulate);
-            }
-            for (kernels::KernelIsa isa : kernels::supportedIsas()) {
-                Tensor got = seed;
-                ScopedIsa forced(isa);
-                kernels::sgemmABt(a.data(), b.data(), got.data(), m,
-                                  l, n, accumulate);
-                EXPECT_TRUE(bitEqual(want, got))
-                    << kernels::isaName(isa) << " " << m << "x" << l
-                    << "x" << n << " acc=" << accumulate;
-            }
-        }
-    }
-}
-
 TEST(Dispatch, SgemmSkipsZeroTimesNaN)
 {
     // A zero entry of A must SKIP the multiply, not fold 0 * NaN into
@@ -692,15 +534,15 @@ TEST(Dispatch, GemmCeBEveryIsaBitIdenticalToScalarAndPanelDecode)
             ScopedIsa isa(kernels::KernelIsa::Scalar);
             kernels::gemmCeB(packed.rowMask.data(),
                              packed.nibbles.data(), rows, cols,
-                             basis.data(), n, a, want.data(), arena);
+                             basis.data(), n, a, want.data());
         }
         // The staged decode-then-sgemm baseline agrees with the fused
         // kernel...
         Tensor staged({rows, n});
-        kernels::gemmCeBPanelDecode(packed.rowMask.data(),
-                                    packed.nibbles.data(), rows, cols,
-                                    basis.data(), n, a, staged.data(),
-                                    arena);
+        reference::gemmCeBPanelDecode(packed.rowMask.data(),
+                                      packed.nibbles.data(), rows,
+                                      cols, basis.data(), n, a,
+                                      staged.data(), arena);
         EXPECT_TRUE(bitEqual(want, staged))
             << rows << "x" << cols << "x" << n;
         // ...and so does every SIMD variant of the fused kernel.
@@ -709,7 +551,7 @@ TEST(Dispatch, GemmCeBEveryIsaBitIdenticalToScalarAndPanelDecode)
             ScopedIsa forced(isa);
             kernels::gemmCeB(packed.rowMask.data(),
                              packed.nibbles.data(), rows, cols,
-                             basis.data(), n, a, got.data(), arena);
+                             basis.data(), n, a, got.data());
             EXPECT_TRUE(bitEqual(want, got))
                 << kernels::isaName(isa) << " " << rows << "x" << cols
                 << "x" << n;
@@ -883,18 +725,17 @@ TEST(Dispatch, SerialScopeKeepsFusedGemmOffThePool)
     Tensor ce = randomCe(rng, m, r, a);
     Tensor basis = randn({r, n}, rng);
     const auto packed = core::packCe(ce, a);
-    kernels::ScratchArena arena;
 
     Tensor want({m, n});
     kernels::gemmCeB(packed.rowMask.data(), packed.nibbles.data(), m,
-                     r, basis.data(), n, a, want.data(), arena);
+                     r, basis.data(), n, a, want.data());
 
     const uint64_t before = kernels::pool().tasksExecuted();
     Tensor got({m, n});
     {
         kernels::SerialScope serial;
         kernels::gemmCeB(packed.rowMask.data(), packed.nibbles.data(),
-                         m, r, basis.data(), n, a, got.data(), arena);
+                         m, r, basis.data(), n, a, got.data());
     }
     EXPECT_EQ(kernels::pool().tasksExecuted(), before);
     EXPECT_TRUE(bitEqual(want, got));
@@ -915,20 +756,16 @@ TEST(Dispatch, NestedFusedGemmFromPoolWorkerStaysInline)
     const auto packed = core::packCe(ce, a);
 
     Tensor want({m, n});
-    {
-        kernels::ScratchArena arena;
-        kernels::gemmCeB(packed.rowMask.data(), packed.nibbles.data(),
-                         m, r, basis.data(), n, a, want.data(), arena);
-    }
+    kernels::gemmCeB(packed.rowMask.data(), packed.nibbles.data(), m, r,
+                     basis.data(), n, a, want.data());
 
     const uint64_t before = kernels::pool().tasksExecuted();
     Tensor got({m, n});
     kernels::pool()
         .submit([&] {
-            kernels::ScratchArena arena;
             kernels::gemmCeB(packed.rowMask.data(),
                              packed.nibbles.data(), m, r,
-                             basis.data(), n, a, got.data(), arena);
+                             basis.data(), n, a, got.data());
         })
         .get();
     EXPECT_EQ(kernels::pool().tasksExecuted(), before + 1);

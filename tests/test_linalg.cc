@@ -11,26 +11,11 @@
 #include <vector>
 
 #include "base/random.hh"
-#include "kernels/kernels.hh"
 #include "linalg/linalg.hh"
+#include "reference/reference.hh"
 
 namespace se {
 namespace {
-
-/** Flip the process-wide kernel lowering for one scope. */
-class ScopedImpl
-{
-  public:
-    explicit ScopedImpl(kernels::ConvImpl impl)
-        : prev_(kernels::defaultConvImpl())
-    {
-        kernels::setDefaultConvImpl(impl);
-    }
-    ~ScopedImpl() { kernels::setDefaultConvImpl(prev_); }
-
-  private:
-    kernels::ConvImpl prev_;
-};
 
 using linalg::choleskySolve;
 using linalg::fitBasis;
@@ -206,8 +191,8 @@ TEST(Linalg, MaskedFitGemmLoweringBitIdenticalToLegacy)
 {
     // The GEMM-backed masked refit (B B^T and W B^T precomputed once
     // through kernels::gemmABtColBiasD, per-row masked gather) must
-    // reproduce the legacy per-row-dot path to the last bit — same
-    // contract as matmul's Auto-vs-Naive split. Sweep shapes across
+    // reproduce the legacy per-row-dot oracle to the last bit — same
+    // contract as matmul against its legacy loop. Sweep shapes across
     // ranks and mask densities, including empty rows and a full mask.
     Rng rng(11);
     for (const auto &dims : std::vector<std::vector<int64_t>>{
@@ -222,15 +207,9 @@ TEST(Linalg, MaskedFitGemmLoweringBitIdenticalToLegacy)
             for (int64_t i = 0; i < mask.size(); ++i)
                 if (!rng.chance(density))
                     mask[i] = 0.0f;
-            Tensor fast, slow;
-            {
-                ScopedImpl impl(kernels::ConvImpl::Auto);
-                fast = fitCoefficientsMasked(w, b, mask);
-            }
-            {
-                ScopedImpl impl(kernels::ConvImpl::Naive);
-                slow = fitCoefficientsMasked(w, b, mask);
-            }
+            const Tensor fast = fitCoefficientsMasked(w, b, mask);
+            const Tensor slow =
+                reference::fitCoefficientsMasked(w, b, mask);
             ASSERT_EQ(fast.shape(), slow.shape());
             EXPECT_EQ(std::memcmp(fast.data(), slow.data(),
                                   (size_t)fast.size() * sizeof(float)),

@@ -67,6 +67,7 @@ TEST(RuntimeOptions, FromEnvParsesValidKnobs)
     ScopedEnv s("SE_STREAM_LOADER", "eager");
     const auto ro = runtime::RuntimeOptions::fromEnv();
     EXPECT_EQ(ro.threads, 3);
+    EXPECT_EQ(kernels::threadsFromEnv(), 3);
     EXPECT_EQ(ro.serveQueueCap, 128u);
     EXPECT_DOUBLE_EQ(ro.serveDeadlineMs, 2.5);
     EXPECT_EQ(ro.serveWeightSource,
@@ -133,6 +134,12 @@ TEST(RuntimeOptions, FromEnvRejectsMalformedValues)
         EXPECT_THROW(runtime::RuntimeOptions::fromEnv(),
                      std::invalid_argument)
             << name << "=" << value;
+        // The kernel pool sizes itself through the same strict parser,
+        // so a process that never calls fromEnv cannot fall back to a
+        // one-worker pool on a typo either.
+        if (!std::strcmp(name, "SE_THREADS"))
+            EXPECT_THROW(kernels::threadsFromEnv(), std::invalid_argument)
+                << name << "=" << value;
     }
 }
 
