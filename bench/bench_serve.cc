@@ -26,10 +26,9 @@
  *    completed+shed == offered conservation check;
  *  - flush policy: Deadline vs Full p99 at equal paced offered load
  *    (the latency/throughput knob made visible);
- *  - streamed prefetch: the streamed-v4 CeDirect bundle served by
- *    the serial one-request loop vs the engine with the loader's
- *    prefetch lane off and on, with piece-decode stall, rebuild
- *    stall and prefetch hit/miss counters;
+ *  - streamed serving: the streamed-v4 CeDirect bundle served by
+ *    the serial one-request loop vs the engine, with rebuild-stall
+ *    and stage timings;
  *  - engine latency percentiles.
  *
  * Usage: ./bench_serve [--smoke] [threads] [requests]
@@ -37,16 +36,14 @@
  * --smoke shrinks the run and turns the noise-tolerant invariants
  * into exit gates (batched >= serial, deadline p99 < full p99,
  * v3 <= 60% of v2 bytes, v4 <= 90% of v3 bytes, lazy v4 cold start
- * < eager, the prefetching engine >= 1.15x the serial loop with ~0
- * prefetched decode stall) on top of the always-gated
- * bit-identity/warm<cold checks — the Release CI job runs it on
- * every PR.
+ * < open + records(), the streamed engine >= 1.15x the serial loop)
+ * on top of the always-gated bit-identity/warm<cold checks — the
+ * Release CI job runs it on every PR.
  *
  * SE_SERVE_QUEUE_CAP / SE_SERVE_DEADLINE_MS / SE_SERVE_WEIGHT_SOURCE
  * / SE_MODEL_FORMAT (via RuntimeOptions::fromEnv) override the
  * admission cap, deadline, serving weight source and reported save
- * format used by the respective sections. SE_PREFETCH_DEPTH sets
- * the lookahead the stream-prefetch section's lane uses.
+ * format used by the respective sections.
  *
  * SE_FAILPOINTS=<spec> switches the whole run into a fault drill:
  * the perf sections are skipped (faults would corrupt their timings)
@@ -481,7 +478,7 @@ main(int argc, char **argv)
     // the 4x-smaller basis must beat v3's fixed nibbles even after
     // the directory overhead (--smoke holds v4 <= 90% of v3).
     // Cold start compares a lazy mmap open + first-piece decode
-    // against an eager decode-everything open.
+    // against an eager open + records() decode of every piece.
     double v4_over_v3;
     bool v4_ok;
     double v4_lazy_cold_ms, v4_eager_cold_ms;
@@ -541,9 +538,8 @@ main(int argc, char **argv)
         }
         {
             const auto t0 = SteadyClock::now();
-            core::StreamLoaderOptions eager_opts;
-            eager_opts.eager = true;
-            core::StreamedModel sm(path, eager_opts);
+            core::StreamedModel sm(path);
+            sm.records();
             v4_eager_cold_ms = msSince(t0);
         }
         std::remove(path);
@@ -1080,22 +1076,19 @@ main(int argc, char **argv)
             full_p99 / deadline_p99);
     }
 
-    // --- streamed prefetch ------------------------------------------
-    // The v4 bundle served CeDirect at three rungs of the same work:
+    // --- streamed serving -------------------------------------------
+    // The v4 bundle served CeDirect at two rungs of the same work:
     // the serial one-request-at-a-time loop (every request pays a
-    // full inline rebuild), then the engine with the loader's
-    // prefetch lane off and on (the lane decodes pieces ahead of the
-    // consumer). Responses must be bit-identical on all three rungs;
-    // --smoke additionally gates the prefetching engine >= 1.15x the
-    // serial loop on the median over paired engine trials.
-    bool prefetch_identical, prefetch_clean;
-    double prefetch_speedup;
-    double stream_stall_inline_ms, stream_stall_lane_ms;
+    // full inline rebuild), then the engine. Responses must be
+    // bit-identical on both rungs; --smoke additionally gates the
+    // engine >= 1.15x the serial loop on the median over its trials.
+    bool stream_identical, stream_clean;
+    double stream_speedup;
     {
         const int pf_n = std::min(requests, 64);
         std::vector<core::SeLayerRecord> qrecords = *records;
         core::quantizeBasisAtCompress(qrecords);
-        const char *path = "/tmp/se_bench_serve_prefetch.sexm";
+        const char *path = "/tmp/se_bench_serve_streamed.sexm";
         {
             std::ostringstream os(std::ios::binary);
             core::saveModelV4(os, qrecords, *dense);
@@ -1103,36 +1096,14 @@ main(int argc, char **argv)
                             std::ios::binary | std::ios::trunc);
             f << os.str();
         }
-        const size_t depth =
-            run_opts.prefetchDepth > 0 ? run_opts.prefetchDepth : 3;
-
-        // Piece-decode stall: inline (every piece decoded on the
-        // consumer's clock) vs a lane with a head start (every touch
-        // a hit — the success metric's "decode-stall ~0").
-        uint64_t lane_hits;
-        size_t pieces;
-        {
-            core::StreamedModel inline_sm(path);
-            inline_sm.records();
-            stream_stall_inline_ms =
-                inline_sm.streamStats().decodeStallMs;
-            pieces = inline_sm.pieceCount();
-
-            core::StreamLoaderOptions lo;
-            lo.prefetchDepth = 4096;  // full lookahead
-            core::StreamedModel lane_sm(path, lo);
-            lane_sm.drainPrefetch();  // the head start
-            lane_sm.records();
-            stream_stall_lane_ms =
-                lane_sm.streamStats().decodeStallMs;
-            lane_hits = lane_sm.streamStats().prefetchHits;
-        }
 
         // Rung 1: serial one-at-a-time loop on the streamed bundle.
         double serial_loop_rps;
         uint64_t serial_digest;
+        size_t pieces;
         {
             core::StreamedModel sm(path);
+            pieces = sm.pieceCount();
             serve::SessionOptions so;
             so.rebuildPerCall = true;
             so.cacheRebuiltWeights = false;
@@ -1159,111 +1130,67 @@ main(int argc, char **argv)
             serial_digest = digest;
         }
 
-        // Rungs 2 and 3: the engine with the prefetch lane off, then
-        // on, in kTrials interleaved pairs. One pair's figures swing
-        // with scheduling, so every reported figure (and the speedup
-        // gate) is the median over the pairs; every trial must
-        // answer bit-identically and keep the prefetch accounting
-        // exact.
+        // Rung 2: the engine, over kTrials fresh opens. One trial's
+        // figures swing with scheduling, so every reported figure
+        // (and the speedup gate) is the median over the trials;
+        // every trial must answer bit-identically and decode every
+        // piece of the bundle.
         constexpr int kTrials = 7;
-        struct EngineRun
-        {
-            double rps, stall, form, exec, complete, hits, misses;
-            uint64_t errors;
-        };
-        std::vector<EngineRun> runs[2];
-        bool trials_identical = true;
-        for (int trial = 0; trial < kTrials; ++trial)
-            for (int v = 0; v < 2; ++v) {
-                core::StreamLoaderOptions lo;
-                lo.prefetchDepth = v == 1 ? depth : 0;
-                core::StreamedModel sm(path, lo);
-                serve::ServeOptions opts;
-                opts.threads = max_threads;
-                opts.maxBatch = 16;
-                opts.session.rebuildPerCall = true;
-                opts.session.cacheRebuiltWeights = false;
-                opts.session.weightSource =
-                    serve::WeightSource::CeDirect;
-                opts.session.denseState = std::make_shared<
-                    const std::vector<core::DenseTensor>>(sm.dense());
-                serve::ServeEngine engine(sm.records(), factory,
-                                          se_opts, apply_opts, opts);
-                auto t0 = Clock::now();
-                std::vector<std::future<Tensor>> futs;
-                futs.reserve((size_t)pf_n);
-                for (int i = 0; i < pf_n; ++i)
-                    futs.push_back(engine.submit(
-                        traffic[(size_t)i % traffic.size()]));
-                engine.drain();
-                uint64_t digest = kFnvOffsetBasis;
-                for (auto &f : futs)
-                    digest = hashTensor(f.get(), digest);
-                const double ms = msSince(t0);
-                engine.stop();
-                sm.drainPrefetch();
-                const auto st = engine.stats();
-                const auto ss = sm.streamStats();
-                trials_identical =
-                    trials_identical && digest == serial_digest;
-                runs[v].push_back(
-                    {1000.0 * pf_n / ms, st.decodeStallMs, st.formMs,
-                     st.execMs, st.completeMs, (double)ss.prefetchHits,
-                     (double)ss.prefetchMisses, ss.prefetchErrors});
-            }
+        std::vector<double> rps, stall, form, exec, complete;
+        stream_identical = true;
+        stream_clean = true;
+        for (int trial = 0; trial < kTrials; ++trial) {
+            core::StreamedModel sm(path);
+            serve::ServeOptions opts;
+            opts.threads = max_threads;
+            opts.maxBatch = 16;
+            opts.session.rebuildPerCall = true;
+            opts.session.cacheRebuiltWeights = false;
+            opts.session.weightSource = serve::WeightSource::CeDirect;
+            opts.session.denseState = std::make_shared<
+                const std::vector<core::DenseTensor>>(sm.dense());
+            serve::ServeEngine engine(sm.records(), factory, se_opts,
+                                      apply_opts, opts);
+            auto t0 = Clock::now();
+            std::vector<std::future<Tensor>> futs;
+            futs.reserve((size_t)pf_n);
+            for (int i = 0; i < pf_n; ++i)
+                futs.push_back(engine.submit(
+                    traffic[(size_t)i % traffic.size()]));
+            engine.drain();
+            uint64_t digest = kFnvOffsetBasis;
+            for (auto &f : futs)
+                digest = hashTensor(f.get(), digest);
+            const double ms = msSince(t0);
+            engine.stop();
+            const auto st = engine.stats();
+            stream_identical =
+                stream_identical && digest == serial_digest;
+            stream_clean = stream_clean &&
+                           sm.decodedPieces() == sm.pieceCount();
+            rps.push_back(1000.0 * pf_n / ms);
+            stall.push_back(st.decodeStallMs);
+            form.push_back(st.formMs);
+            exec.push_back(st.execMs);
+            complete.push_back(st.completeMs);
+        }
         std::remove(path);
-
-        const auto med = [&](int v, double EngineRun::*field) {
-            std::vector<double> xs;
-            for (const EngineRun &r : runs[v])
-                xs.push_back(r.*field);
-            return bench::median(xs);
-        };
-        // Every trial decodes error-free, and the prefetching one
-        // accounts for every piece as a hit or a miss.
-        bool runs_clean = true;
-        uint64_t mode_errors[2] = {0, 0};
-        for (int v = 0; v < 2; ++v)
-            for (const EngineRun &r : runs[v]) {
-                runs_clean = runs_clean && r.errors == 0 &&
-                             (v == 0 || r.hits + r.misses ==
-                                            (double)pieces);
-                mode_errors[v] += r.errors;
-            }
-        const double prefetch_rps = med(1, &EngineRun::rps);
-
-        prefetch_identical = trials_identical;
-        prefetch_clean = lane_hits == (uint64_t)pieces && runs_clean;
-        prefetch_speedup = prefetch_rps / serial_loop_rps;
+        stream_speedup = bench::median(rps) / serial_loop_rps;
 
         std::printf(
-            "  \"stream_prefetch\": {\"prefetch_depth\": %zu, "
-            "\"requests\": %d, "
-            "\"stream_decode\": {\"pieces\": %zu, "
-            "\"inline_stall_ms\": %.3f, \"lane_stall_ms\": %.3f, "
-            "\"lane_hits\": %" PRIu64 "}, "
+            "  \"streamed\": {\"requests\": %d, \"pieces\": %zu, "
             "\"serial_loop_rps\": %.1f, \"engine_trials\": %d,\n"
-            "    \"engine\": [\n",
-            depth, pf_n, pieces, stream_stall_inline_ms,
-            stream_stall_lane_ms, lane_hits, serial_loop_rps, kTrials);
-        for (int v = 0; v < 2; ++v)
-            std::printf(
-                "      {\"prefetch\": %s, \"rps\": %.1f, "
-                "\"rebuild_stall_ms\": %.3f, \"form_ms\": %.3f, "
-                "\"exec_ms\": %.3f, \"complete_ms\": %.3f, "
-                "\"prefetch_hits\": %.0f, "
-                "\"prefetch_misses\": %.0f, "
-                "\"prefetch_errors\": %" PRIu64 "}%s\n",
-                bench::jsonBool(v == 1), med(v, &EngineRun::rps),
-                med(v, &EngineRun::stall), med(v, &EngineRun::form),
-                med(v, &EngineRun::exec), med(v, &EngineRun::complete),
-                med(v, &EngineRun::hits), med(v, &EngineRun::misses),
-                mode_errors[v], bench::jsonSep((size_t)v, 2));
-        std::printf(
-            "    ],\n"
+            "    \"engine\": {\"rps\": %.1f, "
+            "\"rebuild_stall_ms\": %.3f, \"form_ms\": %.3f, "
+            "\"exec_ms\": %.3f, \"complete_ms\": %.3f, "
+            "\"all_pieces_decoded\": %s},\n"
             "    \"engine_speedup_vs_serial_loop\": %.2f, "
             "\"bit_identical\": %s},\n",
-            prefetch_speedup, bench::jsonBool(prefetch_identical));
+            pf_n, pieces, serial_loop_rps, kTrials,
+            bench::median(rps), bench::median(stall),
+            bench::median(form), bench::median(exec),
+            bench::median(complete), bench::jsonBool(stream_clean),
+            stream_speedup, bench::jsonBool(stream_identical));
     }
 
     std::printf("  \"responses_bit_identical\": %s\n",
@@ -1286,13 +1213,11 @@ main(int argc, char **argv)
     bool pass = digests_match &&
                 warm_ms < cold_ms && multi_model_identical &&
                 shed_accounted && ce_identical && v3_reload_ok &&
-                v4_ok && prefetch_identical && prefetch_clean;
+                v4_ok && stream_identical && stream_clean;
     if (smoke)
         pass = pass && best_percall_rps >= serial_percall_rps &&
                deadline_p99 < full_p99 && v3_over_v2 <= 0.60 &&
                v4_over_v3 <= 0.90 && v4_lazy_faster &&
-               hot_reload_ok && prefetch_speedup >= 1.15 &&
-               stream_stall_lane_ms <=
-                   std::max(0.25 * stream_stall_inline_ms, 0.1);
+               hot_reload_ok && stream_speedup >= 1.15;
     return pass ? 0 : 1;
 }

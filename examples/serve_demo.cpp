@@ -19,8 +19,7 @@
  * SE_MODEL_FORMAT picks the bundle format shipped through /tmp
  * (3 = packed 4-bit + dense residual, 2 = legacy records-only), and
  * SE_SERVE_WEIGHT_SOURCE=ce serves from the packed codes directly.
- * SE_PREFETCH_DEPTH>0 arms the v4 stream's async decode lane. Stage
- * and rebuild-stall counters are printed per model.
+ * Stage and rebuild-stall counters are printed per model.
  */
 
 #include <algorithm>
@@ -169,13 +168,8 @@ main(int argc, char **argv)
         if (run_opts.modelFormat >= 4) {
             // Streamed entry: the mmap open verifies only the meta;
             // piece decode (and the engine build) waits for this
-            // model's first request. SE_STREAM_LOADER=eager opts
-            // out; SE_PREFETCH_DEPTH>0 arms the async lane that
-            // decodes ahead of the consumer.
-            auto streamed = std::make_shared<core::StreamedModel>(
-                path,
-                core::StreamLoaderOptions{run_opts.streamEager, false,
-                                          run_opts.prefetchDepth});
+            // model's first request.
+            auto streamed = std::make_shared<core::StreamedModel>(path);
             streams[ni] = streamed;
             registry.add(name, serve::makeModelEntry(
                                    std::move(streamed), factory,
@@ -234,20 +228,10 @@ main(int argc, char **argv)
                     "%.3f, rebuild stall %.3f\n",
                     names[m].c_str(), st.formMs, st.execMs,
                     st.completeMs, st.decodeStallMs);
-        if (streams[m]) {
-            streams[m]->drainPrefetch();
-            const auto ss = streams[m]->streamStats();
-            std::printf("[%s] stream: %zu/%zu pieces decoded, "
-                        "prefetch hits %llu misses %llu errors "
-                        "%llu, decode stall %.3f ms\n",
-                        names[m].c_str(),
-                        streams[m]->decodedPieces(),
-                        streams[m]->pieceCount(),
-                        (unsigned long long)ss.prefetchHits,
-                        (unsigned long long)ss.prefetchMisses,
-                        (unsigned long long)ss.prefetchErrors,
-                        ss.decodeStallMs);
-        }
+        if (streams[m])
+            std::printf("[%s] stream: %zu/%zu pieces decoded\n",
+                        names[m].c_str(), streams[m]->decodedPieces(),
+                        streams[m]->pieceCount());
     }
     if (shed > 0)
         std::printf("admission: %d request(s) shed at queue cap "

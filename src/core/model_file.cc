@@ -947,6 +947,17 @@ parseMeta(const uint8_t *file, size_t size)
             "model file has " +
             std::to_string(meta.fileBytes - expect) +
             " byte(s) past the last piece");
+    // The only padding run sits between the meta and the aligned
+    // piece-region start, outside both checksums; it must be zero so
+    // every open validates every byte outside the piece payloads and
+    // two different files never load identically.
+    if (total > 0)
+        for (uint64_t b = kHeaderBytes + meta.metaBytes;
+             b < meta.directory[0].offset; ++b)
+            if (file[b] != 0)
+                throw ModelFileError(
+                    "non-zero padding byte at offset " +
+                    std::to_string(b));
     return meta;
 }
 
@@ -1041,24 +1052,12 @@ saveModelV4(std::ostream &os, const std::vector<SeLayerRecord> &layers,
 
 namespace {
 
-/** Eager v4 load over a complete in-memory image: validate the meta,
- *  every padding byte, and every piece. */
+/** Eager v4 load over a complete in-memory image: validate the meta
+ *  (padding included) and every piece. */
 ModelBundle
 loadBundleV4(const uint8_t *file, size_t size)
 {
     const modelv4::Meta meta = modelv4::parseMeta(file, size);
-    // The only padding run sits between the meta and the aligned
-    // piece-region start; it must be zero so an eager load validates
-    // every byte and two different files never load identically.
-    uint64_t expect = modelv4::kHeaderBytes + meta.metaBytes;
-    for (const auto &e : meta.directory) {
-        for (uint64_t b = expect; b < e.offset; ++b)
-            if (file[b] != 0)
-                throw ModelFileError(
-                    "non-zero padding byte at offset " +
-                    std::to_string(b));
-        expect = e.offset + e.length;
-    }
     ModelBundle bundle;
     bundle.dense = meta.dense;
     bundle.records.resize(meta.recordNames.size());

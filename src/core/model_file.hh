@@ -31,7 +31,8 @@
  *    region: its start is 64-byte aligned, and the independently-
  *    checksummed payloads pack back-to-back inside it, so
  *    core::StreamedModel can mmap a bundle, verify only the
- *    meta at open, and decode pieces lazily on first touch. Piece
+ *    meta (and the padding after it) at open, and decode pieces
+ *    lazily on first touch. Piece
  *    payloads shrink below v3 two ways: Ce columns carry tthresh-
  *    style adaptive bit widths (each column pays only the bits its
  *    occupied code alphabet needs, sign+magnitude, byte-aligned
@@ -242,11 +243,12 @@ struct Meta
 /**
  * Parse and validate the header + meta section of a v4 bundle held
  * (or mmapped) in memory: magic/version, meta checksum, dense
- * residual, and full directory canonicality (offsets derived from
- * the aligned region start and running lengths, last piece ends
- * exactly at fileBytes == size). Throws ModelFileError on any damage. O(meta),
- * independent of total piece bytes — this is the lazy loader's
- * open-time cost.
+ * residual, full directory canonicality (offsets derived from the
+ * aligned region start and running lengths, last piece ends exactly
+ * at fileBytes == size) and a zero meta→region padding run, so every
+ * byte outside the piece payloads is checked. Throws ModelFileError
+ * on any damage. O(meta), independent of total piece bytes — this is
+ * the lazy loader's open-time cost.
  */
 Meta parseMeta(const uint8_t *file, size_t size);
 

@@ -4,7 +4,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "base/clock.hh"
 #include "base/failpoint.hh"
 #include "base/logging.hh"
 
@@ -38,7 +37,6 @@ readWholeFile(const std::string &path)
 
 StreamedModel::StreamedModel(const std::string &path,
                              StreamLoaderOptions opts)
-    : path_(path)
 {
     SE_FAILPOINT_THROW("stream_open", ModelFileError);
 #if SE_HAVE_MMAP
@@ -72,9 +70,12 @@ StreamedModel::StreamedModel(const std::string &path,
     buffer_ = readWholeFile(path);
 #endif
 
+    // Everything that can throw once the file is mapped sits in
+    // this try, so a refused open never leaks the mapping.
     try {
         const size_t size = mapped_ ? mapLen_ : buffer_.size();
         meta_ = modelv4::parseMeta(filePtr(), size);
+        cache_.resize(meta_.directory.size());
     } catch (...) {
 #if SE_HAVE_MMAP
         if (mapped_)
@@ -82,42 +83,10 @@ StreamedModel::StreamedModel(const std::string &path,
 #endif
         throw;
     }
-    cache_.resize(meta_.directory.size());
-    state_.assign(meta_.directory.size(), PieceState::Cold);
-    laneFilled_.assign(meta_.directory.size(), 0);
-
-    prefetchDepth_ = opts.prefetchDepth;
-    if (prefetchDepth_ > 0 && !meta_.directory.empty()) {
-        prefetcher_ = std::make_unique<ThreadPool>(1);
-        // Warm the head of the bundle: the first consumer touch then
-        // has a chance to be a hit instead of paying the first decode.
-        base::LockGuard lk(mu_);
-        schedulePrefetchLocked(0);
-    }
-
-    if (opts.eager) {
-        // Full validation, matching loadModelBundle: padding bytes
-        // between pieces must be zero, and every piece must decode.
-        const uint8_t *file = filePtr();
-        uint64_t expect = modelv4::kHeaderBytes + meta_.metaBytes;
-        for (const auto &e : meta_.directory) {
-            for (uint64_t b = expect; b < e.offset; ++b)
-                if (file[b] != 0)
-                    throw ModelFileError(
-                        "non-zero padding byte at offset " +
-                        std::to_string(b));
-            expect = e.offset + e.length;
-        }
-        records();
-    }
 }
 
 StreamedModel::~StreamedModel()
 {
-    // Stop the lane before anything it reads (the mapping, the meta,
-    // the state vectors) goes away. ~ThreadPool drains already-queued
-    // tasks, so every member they touch must still be alive here.
-    prefetcher_.reset();
 #if SE_HAVE_MMAP
     if (mapped_)
         ::munmap(map_, mapLen_);
@@ -131,205 +100,59 @@ StreamedModel::filePtr() const
                    : (const uint8_t *)buffer_.data();
 }
 
-void
-StreamedModel::schedulePrefetchLocked(size_t first) const
-{
-    if (!prefetcher_)
-        return;
-    const size_t last =
-        std::min(cache_.size(), first + prefetchDepth_);
-    for (size_t i = first; i < last; ++i) {
-        if (state_[i] != PieceState::Cold)
-            continue;
-        state_[i] = PieceState::Queued;
-        ++laneOutstanding_;
-        ++sstats_.prefetchScheduled;
-        prefetcher_->submit([this, i] { prefetchTask(i); });
-    }
-}
-
-void
-StreamedModel::prefetchTask(size_t index) const
-{
-    base::LockGuard lk(mu_);
-    if (state_[index] != PieceState::Queued) {
-        // A consumer beat the lane to it (claimed or already Ready).
-        --laneOutstanding_;
-        cv_.notifyAll();
-        return;
-    }
-    state_[index] = PieceState::Decoding;
-    lk.unlock();
-
-    // The decode reads only the immutable mapping and parsed meta, so
-    // it runs off-lock — this is the overlap the lane exists for.
-    // Failures (real or injected via `stream_prefetch`) are swallowed:
-    // the piece reverts to Cold and the first consumer touch retries
-    // inline, where a real corruption reports with full context. The
-    // consumer-path `stream_piece_decode` failpoint is deliberately
-    // NOT evaluated here so its firing schedule ignores lookahead.
-    std::unique_ptr<SeMatrix> m;
-    if (!failpoint::evaluate("stream_prefetch")) {
-        try {
-            m.reset(new SeMatrix(
-                modelv4::decodePiece(filePtr(), meta_, index)));
-        } catch (...) {
-            m.reset();
-        }
-    }
-
-    lk.lock();
-    if (m) {
-        cache_[index] = std::move(m);
-        state_[index] = PieceState::Ready;
-        laneFilled_[index] = 1;
-        decoded_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-        state_[index] = PieceState::Cold;
-        ++sstats_.prefetchErrors;
-    }
-    --laneOutstanding_;
-    cv_.notifyAll();
-}
-
 const SeMatrix &
-StreamedModel::fetchPiece(size_t index, bool *freshly) const
+StreamedModel::pieceLocked(size_t index) const
 {
     SE_ASSERT(index < cache_.size(), "piece index out of range");
-    if (freshly)
-        *freshly = false;
-    base::LockGuard lk(mu_);
-    for (;;) {
-        switch (state_[index]) {
-        case PieceState::Ready:
-            if (laneFilled_[index]) {
-                laneFilled_[index] = 0;
-                ++sstats_.prefetchHits;
-            }
-            schedulePrefetchLocked(index + 1);
-            return *cache_[index];
-
-        case PieceState::Decoding: {
-            // The lane (or another consumer) has it in flight; the
-            // wait is decode-stall, but not a miss — the work itself
-            // ran overlapped.
-            const auto t0 = SteadyClock::now();
-            while (state_[index] == PieceState::Decoding)
-                cv_.wait(lk);
-            sstats_.decodeStallMs += msSince(t0);
-            continue;  // Ready, or Cold if the decode was dropped
-        }
-
-        case PieceState::Queued:
-        case PieceState::Cold: {
-            // Claim it and decode inline (the lane skips a claimed
-            // piece). Everything below the unlock touches only the
-            // immutable mapping.
-            state_[index] = PieceState::Decoding;
-            lk.unlock();
-            std::unique_ptr<SeMatrix> m;
-            const auto t0 = SteadyClock::now();
-            try {
-                if (failpoint::evaluate("stream_piece_decode"))
-                    throw ModelFileError(
-                        std::string(failpoint::kInjectedPrefix) +
-                        " 'stream_piece_decode': piece " +
-                        std::to_string(index));
-                m.reset(new SeMatrix(
-                    modelv4::decodePiece(filePtr(), meta_, index)));
-            } catch (...) {
-                lk.lock();
-                state_[index] = PieceState::Cold;
-                cv_.notifyAll();
-                throw;
-            }
-            const double ms = msSince(t0);
-            lk.lock();
-            cache_[index] = std::move(m);
-            state_[index] = PieceState::Ready;
-            laneFilled_[index] = 0;
-            sstats_.decodeStallMs += ms;
-            ++sstats_.prefetchMisses;
-            decoded_.fetch_add(1, std::memory_order_relaxed);
-            cv_.notifyAll();
-            if (freshly)
-                *freshly = true;
-            schedulePrefetchLocked(index + 1);
-            return *cache_[index];
-        }
-        }
+    if (!cache_[index]) {
+        if (failpoint::evaluate("stream_piece_decode"))
+            throw ModelFileError(
+                std::string(failpoint::kInjectedPrefix) +
+                " 'stream_piece_decode': piece " +
+                std::to_string(index));
+        cache_[index] = std::make_unique<SeMatrix>(
+            modelv4::decodePiece(filePtr(), meta_, index));
     }
+    return *cache_[index];
 }
 
 const SeMatrix &
 StreamedModel::piece(size_t index) const
 {
-    return fetchPiece(index);
+    base::LockGuard lk(mu_);
+    return pieceLocked(index);
 }
 
 size_t
-StreamedModel::prefetch(size_t first, size_t count) const
+StreamedModel::decodedPieces() const
 {
-    if (first >= cache_.size() || count == 0)
-        return 0;
-    // Clamp instead of comparing against first + count: the sum can
-    // wrap around size_t, and a wrapped bound used to make huge
-    // prefetch requests silently fetch nothing.
-    count = std::min(count, cache_.size() - first);
-    size_t fresh = 0;
-    for (size_t i = first; i < first + count; ++i) {
-        bool mine = false;
-        try {
-            fetchPiece(i, &mine);
-        } catch (const ModelFileError &e) {
-            throw ModelFileError("prefetch: piece " +
-                                 std::to_string(i) + ": " + e.what());
-        } catch (const std::exception &e) {
-            throw ModelFileError("prefetch: piece " +
-                                 std::to_string(i) + ": " + e.what());
-        }
-        if (mine)
-            ++fresh;
-    }
-    return fresh;
+    base::LockGuard lk(mu_);
+    return (size_t)std::count_if(
+        cache_.begin(), cache_.end(),
+        [](const std::unique_ptr<SeMatrix> &m) { return m != nullptr; });
 }
 
 std::shared_ptr<const std::vector<SeLayerRecord>>
 StreamedModel::records() const
 {
-    {
-        base::LockGuard lk(mu_);
-        if (records_)
-            return records_;
-    }
-    // Decode everything through the piece state machine so the lane
-    // (when enabled) splits the cold bind with this thread; the lock
-    // is NOT held across decodes.
-    size_t flat = 0;
-    for (size_t ri = 0; ri < meta_.recordNames.size(); ++ri) {
-        for (uint32_t k = 0; k < meta_.pieceCounts[ri]; ++k) {
-            try {
-                fetchPiece(flat++);
-            } catch (const ModelFileError &e) {
-                throw ModelFileError("record '" +
-                                     meta_.recordNames[ri] + "': " +
-                                     e.what());
-            }
-        }
-    }
-
     base::LockGuard lk(mu_);
-    if (records_)  // another thread assembled while we decoded
+    if (records_)
         return records_;
     auto out = std::make_shared<std::vector<SeLayerRecord>>();
     out->resize(meta_.recordNames.size());
-    flat = 0;
+    size_t flat = 0;
     for (size_t ri = 0; ri < meta_.recordNames.size(); ++ri) {
         SeLayerRecord &rec = (*out)[ri];
         rec.name = meta_.recordNames[ri];
         rec.pieces.reserve(meta_.pieceCounts[ri]);
-        for (uint32_t k = 0; k < meta_.pieceCounts[ri]; ++k)
-            rec.pieces.push_back(*cache_[flat++]);
+        for (uint32_t k = 0; k < meta_.pieceCounts[ri]; ++k) {
+            try {
+                rec.pieces.push_back(pieceLocked(flat++));
+            } catch (const ModelFileError &e) {
+                throw ModelFileError("record '" + rec.name + "': " +
+                                     e.what());
+            }
+        }
     }
     records_ = std::move(out);
     return records_;
@@ -342,21 +165,6 @@ StreamedModel::bundle() const
     b.records = *records();
     b.dense = meta_.dense;
     return b;
-}
-
-StreamStats
-StreamedModel::streamStats() const
-{
-    base::LockGuard lk(mu_);
-    return sstats_;
-}
-
-void
-StreamedModel::drainPrefetch() const
-{
-    base::LockGuard lk(mu_);
-    while (laneOutstanding_ != 0)
-        cv_.wait(lk);
 }
 
 } // namespace core

@@ -128,10 +128,6 @@ gemmCePanelScalar(const uint8_t *row_mask, const uint8_t *nibbles,
     }
 }
 
-} // namespace
-
-namespace detail {
-
 /**
  * gemmRowBiasD over [j0, j1): the conv-forward reference. Two A
  * rows per pass halve the B-panel traffic; the double accumulators
@@ -202,12 +198,8 @@ gemmRowBiasDPanelScalar(const float *__restrict a,
     }
 }
 
-} // namespace detail
-
-namespace {
-
 const KernelOps kScalarOps{sgemmPanelScalar, gemmCePanelScalar,
-                           detail::gemmRowBiasDPanelScalar};
+                           gemmRowBiasDPanelScalar};
 
 bool
 cpuHasIsa(KernelIsa isa)
@@ -216,8 +208,6 @@ cpuHasIsa(KernelIsa isa)
     switch (isa) {
     case KernelIsa::Scalar:
         return true;
-    case KernelIsa::Sse2:
-        return __builtin_cpu_supports("sse2");
     case KernelIsa::Avx2:
         return __builtin_cpu_supports("avx2");
     }
@@ -255,8 +245,6 @@ isaName(KernelIsa isa)
     switch (isa) {
     case KernelIsa::Scalar:
         return "scalar";
-    case KernelIsa::Sse2:
-        return "sse2";
     case KernelIsa::Avx2:
         return "avx2";
     }
@@ -269,8 +257,6 @@ isaSupported(KernelIsa isa)
     switch (isa) {
     case KernelIsa::Scalar:
         return true;
-    case KernelIsa::Sse2:
-        return detail::sse2Ops() != nullptr && cpuHasIsa(isa);
     case KernelIsa::Avx2:
         return detail::avx2Ops() != nullptr && cpuHasIsa(isa);
     }
@@ -281,8 +267,7 @@ std::vector<KernelIsa>
 supportedIsas()
 {
     std::vector<KernelIsa> out;
-    for (KernelIsa isa :
-         {KernelIsa::Scalar, KernelIsa::Sse2, KernelIsa::Avx2})
+    for (KernelIsa isa : {KernelIsa::Scalar, KernelIsa::Avx2})
         if (isaSupported(isa))
             out.push_back(isa);
     return out;
@@ -293,8 +278,6 @@ detectBestIsa()
 {
     if (isaSupported(KernelIsa::Avx2))
         return KernelIsa::Avx2;
-    if (isaSupported(KernelIsa::Sse2))
-        return KernelIsa::Sse2;
     return KernelIsa::Scalar;
 }
 
@@ -306,13 +289,11 @@ parseKernelIsa(const char *s)
     KernelIsa isa;
     if (!std::strcmp(s, "scalar"))
         isa = KernelIsa::Scalar;
-    else if (!std::strcmp(s, "sse2"))
-        isa = KernelIsa::Sse2;
     else if (!std::strcmp(s, "avx2"))
         isa = KernelIsa::Avx2;
     else
         throw std::invalid_argument(
-            "SE_KERNEL_ISA must be auto|scalar|sse2|avx2, got '" +
+            "SE_KERNEL_ISA must be auto|scalar|avx2, got '" +
             std::string(s) + "'");
     if (!isaSupported(isa))
         throw std::invalid_argument(
@@ -343,10 +324,6 @@ opsFor(KernelIsa isa)
     switch (isa) {
     case KernelIsa::Scalar:
         return kScalarOps;
-    case KernelIsa::Sse2:
-        if (const KernelOps *o = detail::sse2Ops())
-            return *o;
-        break;
     case KernelIsa::Avx2:
         if (const KernelOps *o = detail::avx2Ops())
             return *o;

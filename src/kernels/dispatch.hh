@@ -4,12 +4,12 @@
  * float-chain kernels and the conv-forward double chain.
  *
  * The sgemm column-panel kernel and the fused Ce-code panel kernel
- * exist in up to three explicitly register-tiled variants —
- * scalar (the reference, byte-for-byte the legacy rounding sequence),
- * SSE2 (4-lane tiles) and AVX2 (8-lane, 2x16 register tiles). The
- * conv-forward double chain (gemmRowBiasD) has a scalar reference,
- * which the SSE2 table shares, and an AVX2 variant (4-row x 8-column
- * tiles of double accumulators, widened from float B strips). The
+ * exist in two explicitly register-tiled variants — scalar (the
+ * reference, byte-for-byte the legacy rounding sequence, and the
+ * fallback on CPUs without AVX2) and AVX2 (8-lane, 2x16 register
+ * tiles). The conv-forward double chain (gemmRowBiasD) has a scalar
+ * reference and an AVX2 variant (4-row x 8-column tiles of double
+ * accumulators, widened from float B strips). The
  * best variant the CPU supports is detected once, and every variant
  * preserves the bit-identity contract: each output element is still
  * accumulated over the inner dimension in ascending order with a
@@ -22,10 +22,9 @@
  * translation unit is compiled with AVX2 but *not* FMA, because a
  * fused mul+add rounds once where the contract rounds twice.
  *
- * Selection order: SE_KERNEL_ISA (scalar | sse2 | avx2 | auto) if
- * set — rejected loudly when unrecognized or not supported by the
- * running CPU — else the best ISA the CPU reports (AVX2 > SSE2 >
- * scalar). All variants being bit-identical, the knob only ever moves
+ * Selection order: SE_KERNEL_ISA (scalar | avx2 | auto) if set —
+ * rejected loudly when unrecognized or not supported by the running
+ * CPU — else the best ISA the CPU reports (AVX2 > scalar). All variants being bit-identical, the knob only ever moves
  * wall-clock.
  */
 
@@ -42,11 +41,10 @@ namespace kernels {
 /** Instruction-set level of a registered micro-kernel variant. */
 enum class KernelIsa {
     Scalar,  ///< plain C++ register tiles (the bit-exact reference)
-    Sse2,    ///< 128-bit tiles (x86 baseline)
     Avx2,    ///< 256-bit tiles (no FMA — see file comment)
 };
 
-/** Stable lowercase name ("scalar" | "sse2" | "avx2"). */
+/** Stable lowercase name ("scalar" | "avx2"). */
 const char *isaName(KernelIsa isa);
 
 /**

@@ -16,7 +16,7 @@
  * order, and the A-side zero-skip is kept per row.
  *
  * When the build lacks -mavx2 support (non-x86 target, old compiler),
- * avx2Ops() returns nullptr and dispatch falls back to SSE2/scalar.
+ * avx2Ops() returns nullptr and dispatch falls back to scalar.
  */
 
 #include "kernels/dispatch_variants.hh"

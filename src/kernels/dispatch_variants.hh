@@ -16,19 +16,6 @@ namespace se {
 namespace kernels {
 namespace detail {
 
-/**
- * The scalar gemmRowBiasD panel (dispatch.cc): the reference entry of
- * the scalar table, shared by the SSE2 table, which has no 128-bit
- * double-chain variant of its own.
- */
-void gemmRowBiasDPanelScalar(const float *a, const float *b,
-                             const float *row_bias, float *c, int64_t m,
-                             int64_t k, int64_t n, int64_t j0,
-                             int64_t j1);
-
-/** SSE2 variant table, or nullptr when not compiled in. */
-const KernelOps *sse2Ops();
-
 /** AVX2 variant table, or nullptr when not compiled in. */
 const KernelOps *avx2Ops();
 

@@ -51,7 +51,7 @@ struct RuntimeOptions
     size_t cacheCapacity = 0;
     /**
      * Which micro-kernel ISA variant the GEMM layer runs
-     * (SE_KERNEL_ISA = auto | scalar | sse2 | avx2). Empty (the
+     * (SE_KERNEL_ISA = auto | scalar | avx2). Empty (the
      * default) leaves the process-wide selection alone — dispatch
      * already initialized itself from SE_KERNEL_ISA at startup, so
      * this field only matters for programmatic overrides via
@@ -91,22 +91,6 @@ struct RuntimeOptions
      * byte-per-code records-only format.
      */
     int modelFormat = 3;
-    /**
-     * How the serve drivers open a v4 bundle (SE_STREAM_LOADER =
-     * mmap | eager). `mmap` (default) opens lazily — O(meta) at
-     * open, pieces decode on first touch. `eager` decodes and fully
-     * validates everything up front. Responses are bit-identical
-     * either way; only cold-start wall-clock moves. Meaningless
-     * (and ignored) for v2/v3 bundles.
-     */
-    bool streamEager = false;
-    /**
-     * Streaming-loader lookahead window (SE_PREFETCH_DEPTH >= 0):
-     * how many pieces the v4 prefetch lane decodes ahead of every
-     * touch. 0 (default) disables the lane. Decoded bits are
-     * identical on every path; only decode-stall wall-clock moves.
-     */
-    size_t prefetchDepth = 0;
     /**
      * Spill directory of the persistent DecompCache (SE_CACHE_DIR).
      * Empty (the default) keeps the cache memory-only; set, every
@@ -207,25 +191,6 @@ struct RuntimeOptions
                     "SE_MODEL_FORMAT must be 2, 3 or 4, got '" +
                     std::string(f) + "'");
             ro.modelFormat = (int)v;
-        }
-        if (const char *s = std::getenv("SE_STREAM_LOADER")) {
-            if (!std::strcmp(s, "mmap"))
-                ro.streamEager = false;
-            else if (!std::strcmp(s, "eager"))
-                ro.streamEager = true;
-            else
-                throw std::invalid_argument(
-                    "SE_STREAM_LOADER must be mmap|eager, got '" +
-                    std::string(s) + "'");
-        }
-        if (const char *d = std::getenv("SE_PREFETCH_DEPTH")) {
-            const long long v =
-                envInt("SE_PREFETCH_DEPTH", d);
-            if (v < 0)
-                throw std::invalid_argument(
-                    "SE_PREFETCH_DEPTH must be >= 0, got '" +
-                    std::string(d) + "'");
-            ro.prefetchDepth = (size_t)v;
         }
         if (const char *d = std::getenv("SE_CACHE_DIR")) {
             if (*d == '\0')

@@ -431,6 +431,8 @@ TEST(Dispatch, ParseKernelIsaStrict)
                  std::invalid_argument);
     EXPECT_THROW(kernels::parseKernelIsa("AVX2"),
                  std::invalid_argument);
+    EXPECT_THROW(kernels::parseKernelIsa("sse2"),
+                 std::invalid_argument);
 }
 
 TEST(Dispatch, ForcedSelectionSticks)

@@ -23,7 +23,8 @@
  * payloads + padding, structural corruption behind BOTH fixed-up
  * checksums (piece and meta), error messages that name the offending
  * record/piece/offset, and the StreamedModel lazy loader (O(meta)
- * open, decode-on-touch, prefetch, corrupt-piece containment).
+ * open that still checks the padding, decode-on-touch, corrupt-piece
+ * containment).
  */
 
 #include <gtest/gtest.h>
@@ -1140,7 +1141,7 @@ TEST(ModelFileV4Property, EverySingleBitFlipFailsCleanly)
     // Header, meta, directory, payloads AND the meta→region padding
     // run: no byte of a v4 file is flippable without the eager loader
     // noticing. (Padding is the subtle one — it sits outside both
-    // checksums and is caught by the explicit zero check.)
+    // checksums and is caught by parseMeta's zero check.)
     Rng rng(66);
     std::vector<core::SeLayerRecord> layers;
     layers.push_back({"a", {randomSeMatrix(rng)}});
@@ -1322,98 +1323,22 @@ TEST(StreamedModelTest, AllBackendsServeIdenticalBits)
     writeFile(path, bytes);
 
     const core::ModelBundle reference = loadFromString(bytes);
-    for (const bool eager : {false, true})
-        for (const bool force_read : {false, true}) {
-            core::StreamedModel sm(path, {eager, force_read});
-            if (force_read)
-                EXPECT_FALSE(sm.mapped());
-            const core::ModelBundle got = sm.bundle();
-            ASSERT_EQ(got.records.size(), reference.records.size());
-            for (size_t p = 0; p < 2; ++p)
-                expectBitIdentical(reference.records[0].pieces[p],
-                                   got.records[0].pieces[p]);
-            ASSERT_EQ(got.dense.size(), 1u);
-            EXPECT_EQ(std::memcmp(
-                          got.dense[0].value.data(),
-                          reference.dense[0].value.data(),
-                          (size_t)reference.dense[0].value.size() *
-                              sizeof(float)),
-                      0);
-        }
-}
-
-TEST(StreamedModelTest, PrefetchDecodesAWindow)
-{
-    Rng rng(72);
-    std::vector<core::SeLayerRecord> layers;
-    layers.push_back({"a", {randomSeMatrix(rng), randomSeMatrix(rng),
-                            randomSeMatrix(rng)}});
-    core::quantizeBasisAtCompress(layers);
-    const std::string path = "/tmp/se_model_v4_prefetch.sexm";
-    writeFile(path, saveV4String(layers));
-
-    core::StreamedModel sm(path);
-    EXPECT_EQ(sm.prefetch(0, 2), 2u);
-    EXPECT_EQ(sm.decodedPieces(), 2u);
-    EXPECT_EQ(sm.prefetch(0, 2), 0u);  // already resident
-    // Over-asking clamps to the directory instead of throwing.
-    EXPECT_EQ(sm.prefetch(1, 100), 1u);
-    EXPECT_EQ(sm.decodedPieces(), 3u);
-    EXPECT_EQ(sm.prefetch(99, 5), 0u);
-}
-
-TEST(StreamedModelTest, PrefetchIsOverflowSafe)
-{
-    Rng rng(75);
-    std::vector<core::SeLayerRecord> layers;
-    layers.push_back({"a", {randomSeMatrix(rng), randomSeMatrix(rng),
-                            randomSeMatrix(rng)}});
-    core::quantizeBasisAtCompress(layers);
-    const std::string path = "/tmp/se_model_v4_prefetch_ovf.sexm";
-    writeFile(path, saveV4String(layers));
-
-    core::StreamedModel sm(path);
-    // first + count wraps size_t; the old bound check silently
-    // prefetched nothing. The clamp decodes the whole tail instead.
-    EXPECT_EQ(sm.prefetch(1, SIZE_MAX), 2u);
-    EXPECT_EQ(sm.decodedPieces(), 2u);
-    EXPECT_EQ(sm.prefetch(0, SIZE_MAX), 1u);
-    EXPECT_EQ(sm.decodedPieces(), 3u);
-    EXPECT_EQ(sm.prefetch(0, 0), 0u);
-    EXPECT_EQ(sm.prefetch(SIZE_MAX, SIZE_MAX), 0u);
-}
-
-TEST(StreamedModelTest, PrefetchNamesTheCorruptMidRangePiece)
-{
-    Rng rng(76);
-    std::vector<core::SeLayerRecord> layers;
-    layers.push_back({"a", {randomSeMatrix(rng), randomSeMatrix(rng),
-                            randomSeMatrix(rng)}});
-    core::quantizeBasisAtCompress(layers);
-    const std::string good = saveV4String(layers);
-
-    namespace v4 = core::modelv4;
-    const v4::Meta meta = v4::parseMeta(
-        reinterpret_cast<const uint8_t *>(good.data()), good.size());
-    std::string bad = good;
-    bad[(size_t)meta.directory[1].offset + 7] ^= 0x04;
-    const std::string path = "/tmp/se_model_v4_prefetch_bad.sexm";
-    writeFile(path, bad);
-
-    core::StreamedModel sm(path);
-    EXPECT_EQ(sm.prefetch(0, 1), 1u);  // piece 0 is intact
-    try {
-        sm.prefetch(0, sm.pieceCount());
-        FAIL() << "corrupt mid-range piece did not throw";
-    } catch (const core::ModelFileError &e) {
-        // The typed error names the failing piece, not just
-        // whatever the underlying decode said.
-        EXPECT_NE(std::string(e.what()).find("prefetch: piece 1"),
-                  std::string::npos)
-            << e.what();
+    for (const bool force_read : {false, true}) {
+        core::StreamedModel sm(path, {force_read});
+        if (force_read)
+            EXPECT_FALSE(sm.mapped());
+        const core::ModelBundle got = sm.bundle();
+        ASSERT_EQ(got.records.size(), reference.records.size());
+        for (size_t p = 0; p < 2; ++p)
+            expectBitIdentical(reference.records[0].pieces[p],
+                               got.records[0].pieces[p]);
+        ASSERT_EQ(got.dense.size(), 1u);
+        EXPECT_EQ(std::memcmp(got.dense[0].value.data(),
+                              reference.dense[0].value.data(),
+                              (size_t)reference.dense[0].value.size() *
+                                  sizeof(float)),
+                  0);
     }
-    // The failure is not sticky for intact pieces past it.
-    EXPECT_EQ(sm.prefetch(2, 1), 1u);
 }
 
 TEST(StreamedModelTest, CorruptPieceFailsAtFirstTouch)
@@ -1450,10 +1375,6 @@ TEST(StreamedModelTest, CorruptPieceFailsAtFirstTouch)
     EXPECT_NO_THROW(sm.piece(2));
     EXPECT_EQ(sm.decodedPieces(), 2u);
     EXPECT_THROW(sm.records(), core::ModelFileError);
-
-    // The eager open refuses the same file up front.
-    EXPECT_THROW(core::StreamedModel(path, {true, false}),
-                 core::ModelFileError);
 }
 
 TEST(StreamedModelTest, TruncatedFileFailsAtOpen)
@@ -1494,10 +1415,10 @@ TEST(StreamedModelTest, RefusesNonStreamingFormats)
     }
 }
 
-TEST(StreamedModelTest, EagerOpenValidatesPadding)
+TEST(StreamedModelTest, OpenRefusesDirtyPaddingAndUnmaps)
 {
-    // The meta→region padding run sits outside both checksums; only
-    // the eager open (like the eager loadModelBundle) walks it.
+    // The meta→region padding run sits outside both checksums;
+    // parseMeta walks it, so every open refuses a dirty byte there.
     std::vector<core::SeLayerRecord> layers;
     layers.push_back({"a", {craftedMatrix(3, 3)}});
     layers.push_back({"b", {craftedMatrix(4, 3)}});
@@ -1514,16 +1435,30 @@ TEST(StreamedModelTest, EagerOpenValidatesPadding)
         << "fixture must leave padding before the piece region";
     std::string bad = good;
     bad[pad_at] = (char)0x5A;
-    const std::string path = "/tmp/se_model_v4_pad.sexm";
+    const std::string path = "/tmp/se_model_v4_dirty_pad.sexm";
     writeFile(path, bad);
 
-    EXPECT_THROW(core::StreamedModel(path, {true, false}),
-                 core::ModelFileError);
-    // The lazy open never reads those bytes, and the pieces it does
-    // read are intact — laziness narrows coverage to what is used.
-    core::StreamedModel lazy(path);
-    expectBitIdentical(layers[0].pieces[0], lazy.piece(0));
-    expectBitIdentical(layers[1].pieces[0], lazy.piece(1));
+    for (const bool force_read : {false, true})
+        for (int i = 0; i < 3; ++i) {
+            try {
+                core::StreamedModel sm(path, {force_read});
+                FAIL() << "dirty padding must not open";
+            } catch (const core::ModelFileError &e) {
+                EXPECT_NE(std::string(e.what()).find(
+                              "non-zero padding byte at offset " +
+                              std::to_string(pad_at)),
+                          std::string::npos)
+                    << e.what();
+            }
+        }
+    EXPECT_THROW(loadFromString(bad), core::ModelFileError);
+#ifdef __linux__
+    // A refused open must unmap what it mapped.
+    std::ifstream maps("/proc/self/maps");
+    ASSERT_TRUE(maps.good());
+    for (std::string line; std::getline(maps, line);)
+        EXPECT_EQ(line.find(path), std::string::npos) << line;
+#endif
 }
 
 TEST(ModelRecordsV4, CompressQuantizeSaveLoadInstallRoundTrip)

@@ -64,7 +64,6 @@ TEST(RuntimeOptions, FromEnvParsesValidKnobs)
     ScopedEnv d("SE_SERVE_DEADLINE_MS", "2.5");
     ScopedEnv w("SE_SERVE_WEIGHT_SOURCE", "ce");
     ScopedEnv f("SE_MODEL_FORMAT", "2");
-    ScopedEnv s("SE_STREAM_LOADER", "eager");
     const auto ro = runtime::RuntimeOptions::fromEnv();
     EXPECT_EQ(ro.threads, 3);
     EXPECT_EQ(kernels::threadsFromEnv(), 3);
@@ -73,30 +72,13 @@ TEST(RuntimeOptions, FromEnvParsesValidKnobs)
     EXPECT_EQ(ro.serveWeightSource,
               runtime::ServeWeightSource::CeDirect);
     EXPECT_EQ(ro.modelFormat, 2);
-    EXPECT_TRUE(ro.streamEager);
 }
 
 TEST(RuntimeOptions, FromEnvParsesStreamingKnobs)
 {
     ScopedEnv f("SE_MODEL_FORMAT", "4");
-    ScopedEnv s("SE_STREAM_LOADER", "mmap");
     const auto ro = runtime::RuntimeOptions::fromEnv();
     EXPECT_EQ(ro.modelFormat, 4);
-    EXPECT_FALSE(ro.streamEager);
-}
-
-TEST(RuntimeOptions, FromEnvParsesPrefetchDepth)
-{
-    {
-        ScopedEnv d("SE_PREFETCH_DEPTH", "3");
-        const auto ro = runtime::RuntimeOptions::fromEnv();
-        EXPECT_EQ(ro.prefetchDepth, 3u);
-    }
-    {
-        ScopedEnv d("SE_PREFETCH_DEPTH", "0");
-        const auto ro = runtime::RuntimeOptions::fromEnv();
-        EXPECT_EQ(ro.prefetchDepth, 0u);
-    }
 }
 
 TEST(RuntimeOptions, FromEnvRejectsMalformedValues)
@@ -118,16 +100,10 @@ TEST(RuntimeOptions, FromEnvRejectsMalformedValues)
         {"SE_MODEL_FORMAT", "1"},
         {"SE_MODEL_FORMAT", "5"},
         {"SE_MODEL_FORMAT", "v3"},
-        {"SE_STREAM_LOADER", "lazy"},
-        {"SE_STREAM_LOADER", "MMAP"},  // case-sensitive
-        {"SE_STREAM_LOADER", ""},
         {"SE_KERNEL_ISA", "avx512"},
         {"SE_KERNEL_ISA", "fast"},
         {"SE_KERNEL_ISA", "AVX2"},  // case-sensitive like the others
-        {"SE_PREFETCH_DEPTH", "-1"},
-        {"SE_PREFETCH_DEPTH", "two"},
-        {"SE_PREFETCH_DEPTH", "2x"},
-        {"SE_PREFETCH_DEPTH", ""},
+        {"SE_KERNEL_ISA", "sse2"},  // not a tier: scalar or avx2
     };
     for (const auto &[name, value] : bad) {
         ScopedEnv e(name, value);
@@ -180,19 +156,16 @@ TEST(RuntimeOptions, FromEnvDefaultsWithoutKnobs)
     std::vector<std::unique_ptr<ScopedEnv>> clear;
     for (const char *name :
          {"SE_SERVE_QUEUE_CAP", "SE_SERVE_DEADLINE_MS",
-          "SE_SERVE_WEIGHT_SOURCE", "SE_MODEL_FORMAT",
-          "SE_STREAM_LOADER", "SE_PREFETCH_DEPTH"}) {
+          "SE_SERVE_WEIGHT_SOURCE", "SE_MODEL_FORMAT"}) {
         clear.push_back(std::make_unique<ScopedEnv>(name, "0"));
         ::unsetenv(name);  // ScopedEnv restores any prior value
     }
     const auto ro = runtime::RuntimeOptions::fromEnv();
     EXPECT_EQ(ro.modelFormat, 3);
-    EXPECT_FALSE(ro.streamEager);
     EXPECT_EQ(ro.serveWeightSource,
               runtime::ServeWeightSource::Dense);
     EXPECT_EQ(ro.serveQueueCap, 0u);
     EXPECT_DOUBLE_EQ(ro.serveDeadlineMs, 0.0);
-    EXPECT_EQ(ro.prefetchDepth, 0u);
 }
 
 // ------------------------------------------------------------ ThreadPool

@@ -1033,13 +1033,13 @@ TEST(ServeFrontV4, V4BundleServesDenseAndCeDirectBitIdentical)
     }
 }
 
-TEST(ServeFrontV4, LazyEagerAndRecordsPathsAnswerIdentically)
+TEST(ServeFrontV4, StreamedAndRecordsPathsAnswerIdentically)
 {
-    // The loader is an access policy, not a value policy: lazy mmap,
-    // eager decode-at-open, and the classic loadModelBundleFile ->
-    // records path must produce bit-identical responses — and so
-    // must every thread/batch configuration (the SE_THREADS
-    // invariance, exercised programmatically).
+    // The loader is an access policy, not a value policy: lazy mmap
+    // and the classic loadModelBundleFile -> records path must
+    // produce bit-identical responses — and so must every
+    // thread/batch configuration (the SE_THREADS invariance,
+    // exercised programmatically).
     core::SeOptions se_opts;
     se_opts.vectorThreshold = 0.01;
     core::ApplyOptions apply_opts;
@@ -1051,23 +1051,19 @@ TEST(ServeFrontV4, LazyEagerAndRecordsPathsAnswerIdentically)
     for (const auto &[threads, batch] :
          std::vector<std::pair<int, size_t>>{
              {0, 1}, {1, 4}, {4, 3}}) {
-        for (int mode = 0; mode < 3; ++mode) {
+        for (const bool streamed : {true, false}) {
             serve::ModelRegistry reg;
-            if (mode == 2) {  // eager records path, no streaming
+            if (streamed)
+                reg.add("m", serve::makeModelEntry(
+                                 std::make_shared<core::StreamedModel>(
+                                     path),
+                                 [] { return makeServeCnn(97); },
+                                 se_opts, apply_opts));
+            else  // eager records path, no streaming
                 reg.add("m", serve::makeModelEntry(
                                  core::loadModelBundleFile(path),
                                  [] { return makeServeCnn(97); },
                                  se_opts, apply_opts));
-            } else {
-                core::StreamLoaderOptions lo;
-                lo.eager = (mode == 1);
-                auto sm = std::make_shared<core::StreamedModel>(
-                    path, lo);
-                reg.add("m", serve::makeModelEntry(
-                                 std::move(sm),
-                                 [] { return makeServeCnn(97); },
-                                 se_opts, apply_opts));
-            }
             serve::ServeOptions opts;
             opts.threads = threads;
             opts.maxBatch = batch;
@@ -1485,77 +1481,6 @@ TEST(ServePipeline, BitIdentityWallAcrossModesThreadsAndPolicies)
         EXPECT_EQ(st.failed, 0u) << "config " << idx;
         ++idx;
     }
-}
-
-TEST(ServePipelineV4, StreamedPrefetchedCeDirectBitIdentical)
-{
-    // End-to-end streaming: a v4 bundle opened with the prefetch
-    // lane on versus off, records bound CeDirect, served by the
-    // engine. Identical responses, and the lane's counters add up.
-    core::SeOptions se_opts;
-    se_opts.vectorThreshold = 0.01;
-    core::ApplyOptions apply_opts;
-    const std::string path = "/tmp/se_serve_pipe_v4.sexm";
-    auto reference = shipV4Model(144, path, se_opts, apply_opts);
-    const int n = 12;
-
-    std::vector<uint64_t> digests;
-    for (const bool prefetch : {false, true}) {
-        core::StreamLoaderOptions lo;
-        lo.prefetchDepth = prefetch ? 3 : 0;
-        core::StreamedModel sm(path, lo);
-        serve::ServeOptions opts;
-        opts.threads = 2;
-        opts.maxBatch = 4;
-        opts.session.rebuildPerCall = true;
-        opts.session.cacheRebuiltWeights = false;
-        opts.session.weightSource = serve::WeightSource::CeDirect;
-        opts.session.denseState = std::make_shared<
-            const std::vector<core::DenseTensor>>(sm.dense());
-        serve::ServeEngine engine(
-            sm.records(), [] { return makeServeCnn(144); },
-            se_opts, apply_opts, opts);
-
-        std::vector<std::future<Tensor>> futs;
-        for (int i = 0; i < n; ++i)
-            futs.push_back(
-                engine.submit(makeInput(1900 + (uint64_t)i)));
-        engine.drain();
-        uint64_t digest = kFnvOffsetBasis;
-        for (auto &f : futs)
-            digest = hashTensor(f.get(), digest);
-        digests.push_back(digest);
-        engine.stop();
-
-        sm.drainPrefetch();
-        const auto ss = sm.streamStats();
-        // Every piece was touched exactly once by records(): each
-        // touch was a lane hit or an inline miss, never both.
-        EXPECT_EQ(ss.prefetchHits + ss.prefetchMisses,
-                  (uint64_t)sm.pieceCount());
-        EXPECT_EQ(sm.decodedPieces(), sm.pieceCount());
-        EXPECT_EQ(ss.prefetchErrors, 0u);
-        if (!prefetch) {
-            EXPECT_EQ(ss.prefetchHits, 0u);
-            EXPECT_EQ(ss.prefetchScheduled, 0u);
-        }
-
-        const auto st = engine.stats();
-        EXPECT_EQ(st.requests, (uint64_t)n);
-        EXPECT_GE(st.decodeStallMs, 0.0);
-    }
-    ASSERT_EQ(digests.size(), 2u);
-    EXPECT_EQ(digests[0], digests[1])
-        << "the prefetch lane must not change responses";
-
-    // And both match the uncompressed reference.
-    uint64_t refDigest = kFnvOffsetBasis;
-    for (int i = 0; i < n; ++i) {
-        Tensor y =
-            reference->forward(makeInput(1900 + (uint64_t)i), false);
-        refDigest = hashTensor(y.reshaped({y.size()}), refDigest);
-    }
-    EXPECT_EQ(digests[0], refDigest);
 }
 
 } // namespace
