@@ -15,10 +15,10 @@
  *           resnet164, mobilenetv2}, e.g. "vgg19,mobilenetv2"
  *
  * Environment: SE_SERVE_QUEUE_CAP bounds admission (0 = unbounded),
- * SE_SERVE_DEADLINE_MS > 0 selects the Deadline flush policy,
- * SE_MODEL_FORMAT picks the bundle format shipped through /tmp
- * (3 = packed 4-bit + dense residual, 2 = legacy records-only), and
+ * SE_SERVE_DEADLINE_MS > 0 selects the Deadline flush policy, and
  * SE_SERVE_WEIGHT_SOURCE=ce serves from the packed codes directly.
+ * Every model ships through /tmp as a v4 bundle and serves from a
+ * lazily decoded StreamedModel.
  * Stage and rebuild-stall counters are printed per model.
  */
 
@@ -119,9 +119,9 @@ main(int argc, char **argv)
     std::printf("=== se::serve demo: %zu model(s) ===\n",
                 names.size());
 
-    // 1. Compress each zoo model into shippable records, ship it
-    //    (save + reload the checksummed binary bundle), and register
-    //    it under its name.
+    // 1. Compress each zoo model into shippable records, ship it as
+    //    a v4 bundle, and register the streamed bundle under its
+    //    name.
     core::SeOptions se_opts;
     se_opts.vectorThreshold = 0.01;
     core::ApplyOptions apply_opts;
@@ -132,8 +132,8 @@ main(int argc, char **argv)
             ? serve::WeightSource::CeDirect
             : serve::WeightSource::Dense;
     serve::ModelRegistry registry;
-    // Streamed handles kept aside so the prefetch-lane counters can
-    // be reported after the traffic (the registry owns one ref too).
+    // Streamed handles kept aside so the decode counters can be
+    // reported after the traffic (the registry owns one ref too).
     std::vector<std::shared_ptr<core::StreamedModel>> streams(
         names.size());
     for (size_t ni = 0; ni < names.size(); ++ni) {
@@ -146,40 +146,27 @@ main(int argc, char **argv)
                 return pipe.cache().getOrCompute(w, o);
             });
         const std::string path = "/tmp/serve_demo_" + name + ".sexm";
-        if (run_opts.modelFormat >= 4) {
-            // v4 requires the compress-time int8 basis pin so the
-            // bundle serves the same bits as the live net.
-            core::quantizeBasisAtCompress(*net, compressed, se_opts,
-                                          apply_opts);
-            core::saveModelV4File(path, compressed.bundle());
-        } else if (run_opts.modelFormat == 3) {
-            core::saveModelV3File(path, compressed.bundle());
-        } else {
-            core::saveModelFile(path, compressed.records);
-        }
+        // v4 requires the compress-time int8 basis pin so the
+        // bundle serves the same bits as the live net.
+        core::quantizeBasisAtCompress(*net, compressed, se_opts,
+                                      apply_opts);
+        core::saveModelV4File(path, compressed.bundle());
         std::ifstream probe(path, std::ios::binary | std::ios::ate);
         std::printf(
-            "[%s] compressed %zu layers, CR %.2fx -> %s (v%d, %lld "
+            "[%s] compressed %zu layers, CR %.2fx -> %s (v4, %lld "
             "bytes)\n",
             name.c_str(), compressed.records.size(),
             compressed.report.compressionRate(), path.c_str(),
-            run_opts.modelFormat, (long long)probe.tellg());
+            (long long)probe.tellg());
         auto factory = [id, cfg] { return models::buildSim(id, cfg); };
-        if (run_opts.modelFormat >= 4) {
-            // Streamed entry: the mmap open verifies only the meta;
-            // piece decode (and the engine build) waits for this
-            // model's first request.
-            auto streamed = std::make_shared<core::StreamedModel>(path);
-            streams[ni] = streamed;
-            registry.add(name, serve::makeModelEntry(
-                                   std::move(streamed), factory,
-                                   se_opts, apply_opts, source));
-        } else {
-            registry.add(name, serve::makeModelEntry(
-                                   core::loadModelBundleFile(path),
-                                   factory, se_opts, apply_opts,
-                                   source));
-        }
+        // Streamed entry: the mmap open verifies only the meta; piece
+        // decode (and the engine build) waits for this model's first
+        // request.
+        auto streamed = std::make_shared<core::StreamedModel>(path);
+        streams[ni] = streamed;
+        registry.add(name, serve::makeModelEntry(std::move(streamed),
+                                                 factory, se_opts,
+                                                 apply_opts, source));
     }
 
     // 2. One front, one engine per model, the thread budget split.
@@ -228,10 +215,9 @@ main(int argc, char **argv)
                     "%.3f, rebuild stall %.3f\n",
                     names[m].c_str(), st.formMs, st.execMs,
                     st.completeMs, st.decodeStallMs);
-        if (streams[m])
-            std::printf("[%s] stream: %zu/%zu pieces decoded\n",
-                        names[m].c_str(), streams[m]->decodedPieces(),
-                        streams[m]->pieceCount());
+        std::printf("[%s] stream: %zu/%zu pieces decoded\n",
+                    names[m].c_str(), streams[m]->decodedPieces(),
+                    streams[m]->pieceCount());
     }
     if (shed > 0)
         std::printf("admission: %d request(s) shed at queue cap "

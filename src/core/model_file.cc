@@ -20,8 +20,6 @@ namespace core {
 namespace {
 
 constexpr uint32_t kMagic = 0x5345584Du;  // "SEXM"
-constexpr uint32_t kVersion = 2;
-constexpr uint32_t kVersionV3 = 3;
 constexpr uint32_t kVersionV4 = 4;
 /** Widest alphabet a 4-bit nibble (1 sign + 3 code bits) can carry. */
 constexpr int kMaxPackedLevels = 7;
@@ -56,20 +54,9 @@ writeString(std::ostream &os, const std::string &s)
     os.write(s.data(), (std::streamsize)s.size());
 }
 
-std::string
-readString(std::istream &is)
-{
-    const uint32_t len = readPod<uint32_t>(is);
-    if (len >= (1u << 20))
-        throw ModelFileError("implausible string length in model file");
-    std::string s((size_t)len, '\0');
-    is.read(s.data(), len);
-    if ((uint32_t)is.gcount() != len)
-        throw ModelFileError("truncated string in model file");
-    return s;
-}
-
-/** Encode a power-of-2 coefficient as one byte. */
+/** Encode a power-of-2 coefficient as one byte: {zero | sign 0x80,
+ *  exponent code 1..numLevels}. The spill codec stores these bytes;
+ *  packCe and the v4 piece encoder re-pack them narrower. */
 uint8_t
 encodeCoef(float v, const quant::Pow2Alphabet &a)
 {
@@ -107,7 +94,7 @@ checkDim(int64_t d, const char *what)
                              " in model file");
 }
 
-/** Convert a v2 coefficient byte to a v3 nibble (codes are codes). */
+/** Convert a coefficient byte to a packed nibble (codes are codes). */
 uint8_t
 byteToNibble(uint8_t byte)
 {
@@ -126,7 +113,7 @@ decodeNibble(uint8_t nib, const quant::Pow2Alphabet &a)
         return 0.0f;
     const int code = nib & 0x7;
     // Nibble 0x8 (sign bit with exponent code 0) is the packed
-    // sibling of the v2 byte 0x80 — not a legal encoding.
+    // sibling of the coefficient byte 0x80 — not a legal encoding.
     if (code < 1 || code > a.numLevels)
         throw ModelFileError(
             "packed coefficient nibble outside the stored alphabet");
@@ -143,9 +130,8 @@ packCe(const Tensor &ce, const quant::Pow2Alphabet &alphabet)
         alphabet.numLevels > kMaxPackedLevels)
         throw ModelFileError(
             "alphabet has " + std::to_string(alphabet.numLevels) +
-            " levels; 4-bit packing carries at most " +
-            std::to_string(kMaxPackedLevels) +
-            " (save this model as v2)");
+            " levels; a 4-bit packed code carries at most " +
+            std::to_string(kMaxPackedLevels) + " (coefBits <= 4)");
     PackedCe p;
     p.rows = ce.dim(0);
     p.cols = ce.dim(1);
@@ -194,122 +180,6 @@ unpackCe(const PackedCe &p)
 
 namespace {
 
-/**
- * v3 piece: a 27-byte metadata header (a third of the v2-style one —
- * with a piece per conv filter, header bytes are a visible share of
- * the bundle), then row mask + packed nibbles + float basis. Rank
- * and basis width are u16: the reshape rules only ever produce
- * kernel- or group-sized widths, and a wider matrix belongs in v2.
- */
-void
-saveSeMatrixV3(std::ostream &os, const SeMatrix &m)
-{
-    const PackedCe p = packCe(m.ce, m.alphabet);
-    if (m.ce.dim(1) > 0xFFFF || m.basis.dim(1) > 0xFFFF ||
-        m.alphabet.expMax < -32768 || m.alphabet.expMax > 32767)
-        throw ModelFileError(
-            "matrix too wide for the v3 piece header (save as v2)");
-    writePod<uint32_t>(os, (uint32_t)m.ce.dim(0));
-    writePod<uint16_t>(os, (uint16_t)m.ce.dim(1));
-    writePod<uint16_t>(os, (uint16_t)m.basis.dim(1));
-    writePod<int16_t>(os, (int16_t)m.alphabet.expMax);
-    writePod<uint8_t>(os, (uint8_t)m.alphabet.numLevels);
-    writePod<int32_t>(os, m.iterations);
-    writePod<double>(os, m.reconRelError);
-    writePod<uint32_t>(os, (uint32_t)p.nonZeroRows);
-    os.write(reinterpret_cast<const char *>(p.rowMask.data()),
-             (std::streamsize)p.rowMask.size());
-    os.write(reinterpret_cast<const char *>(p.nibbles.data()),
-             (std::streamsize)p.nibbles.size());
-    for (int64_t i = 0; i < m.basis.size(); ++i)
-        writePod<float>(os, m.basis[i]);
-}
-
-SeMatrix
-loadSeMatrixV3(std::istream &is)
-{
-    SeMatrix m;
-    const int64_t rows = (int64_t)readPod<uint32_t>(is);
-    const int64_t rank = (int64_t)readPod<uint16_t>(is);
-    const int64_t cols = (int64_t)readPod<uint16_t>(is);
-    checkDim(rows, "row count");
-    checkDim(rank, "rank");
-    checkDim(cols, "column count");
-    if (rows * rank > kMaxElems || rank * cols > kMaxElems)
-        throw ModelFileError("implausible matrix size in model file");
-    m.alphabet.expMax = readPod<int16_t>(is);
-    m.alphabet.numLevels = readPod<uint8_t>(is);
-    if (m.alphabet.numLevels < 1 ||
-        m.alphabet.numLevels > kMaxPackedLevels ||
-        m.alphabet.expMax < -1000 || m.alphabet.expMax > 1000)
-        throw ModelFileError("implausible alphabet in model file");
-    m.iterations = readPod<int32_t>(is);
-    if (m.iterations < 0 || m.iterations > (1 << 20))
-        throw ModelFileError("implausible iteration count");
-    m.reconRelError = readPod<double>(is);
-    if (!std::isfinite(m.reconRelError))
-        throw ModelFileError("non-finite metadata in model file");
-
-    PackedCe p;
-    p.rows = rows;
-    p.cols = rank;
-    p.alphabet = m.alphabet;
-    p.nonZeroRows = (int64_t)readPod<uint32_t>(is);
-    if (p.nonZeroRows < 0 || p.nonZeroRows > rows)
-        throw ModelFileError(
-            "implausible non-zero row count in model file");
-    p.rowMask.resize((size_t)((rows + 7) / 8));
-    is.read(reinterpret_cast<char *>(p.rowMask.data()),
-            (std::streamsize)p.rowMask.size());
-    if ((size_t)is.gcount() != p.rowMask.size())
-        throw ModelFileError("truncated row mask in model file");
-    p.nibbles.resize((size_t)((p.nonZeroRows * rank + 1) / 2));
-    is.read(reinterpret_cast<char *>(p.nibbles.data()),
-            (std::streamsize)p.nibbles.size());
-    if ((size_t)is.gcount() != p.nibbles.size())
-        throw ModelFileError("truncated coefficients in model file");
-
-    // Structural validation: the mask must agree with the stored
-    // non-zero count (tail bits clear), and a padded odd code count
-    // must end in a zero nibble — otherwise two different byte
-    // streams could decode to the same matrix.
-    int64_t mask_bits = 0;
-    for (int64_t i = 0; i < rows; ++i)
-        mask_bits +=
-            (p.rowMask[(size_t)(i >> 3)] >> (i & 7)) & 1;
-    if (mask_bits != p.nonZeroRows)
-        throw ModelFileError(
-            "row mask does not match non-zero row count");
-    if (rows & 7) {
-        const uint8_t tail = p.rowMask.empty() ? 0 : p.rowMask.back();
-        if (tail >> (rows & 7))
-            throw ModelFileError("row mask has bits past the last row");
-    }
-    if ((p.nonZeroRows * rank) & 1) {
-        if (!p.nibbles.empty() && (p.nibbles.back() >> 4))
-            throw ModelFileError(
-                "non-zero padding nibble in model file");
-    }
-
-    m.ce = unpackCe(p);  // throws on 0x8-style invalid nibbles
-    // A row the mask flags non-zero must actually carry a non-zero
-    // code, or save/load would not round-trip.
-    for (int64_t i = 0; i < rows; ++i) {
-        if (!(p.rowMask[(size_t)(i >> 3)] & (1u << (i & 7))))
-            continue;
-        bool nz = false;
-        for (int64_t j = 0; j < rank && !nz; ++j)
-            nz = m.ce.at(i, j) != 0.0f;
-        if (!nz)
-            throw ModelFileError(
-                "all-zero row flagged non-zero in model file");
-    }
-    m.basis = Tensor({rank, cols});
-    for (int64_t i = 0; i < m.basis.size(); ++i)
-        m.basis[i] = readPod<float>(is);
-    return m;
-}
-
 void
 saveDenseTensor(std::ostream &os, const DenseTensor &d)
 {
@@ -321,36 +191,11 @@ saveDenseTensor(std::ostream &os, const DenseTensor &d)
         writePod<float>(os, d.value[i]);
 }
 
-DenseTensor
-loadDenseTensor(std::istream &is)
-{
-    DenseTensor d;
-    d.name = readString(is);
-    const uint32_t ndim = readPod<uint32_t>(is);
-    if (ndim > 8)
-        throw ModelFileError("implausible dense tensor rank");
-    Shape shape;
-    int64_t elems = 1;
-    for (uint32_t i = 0; i < ndim; ++i) {
-        const int64_t dim = readPod<int64_t>(is);
-        checkDim(dim, "dense tensor dimension");
-        shape.push_back(dim);
-        elems *= dim;
-        if (elems > kMaxElems)
-            throw ModelFileError(
-                "implausible dense tensor size in model file");
-    }
-    d.value = Tensor(shape);
-    for (int64_t i = 0; i < d.value.size(); ++i)
-        d.value[i] = readPod<float>(is);
-    return d;
-}
-
 /**
- * Bounds-checked cursor over an in-memory byte span — the buffer
- * sibling of the readPod/readString istream helpers, shared by the
- * v4 meta parser and piece decoder so the eager loadModelBundle path
- * and the mmap-backed StreamedModel run the exact same code.
+ * Bounds-checked cursor over an in-memory byte span, shared by the
+ * v4 header/meta parser and piece decoder so the eager
+ * loadModelBundle path and the mmap-backed StreamedModel run the
+ * exact same code.
  */
 class BufReader
 {
@@ -481,104 +326,6 @@ loadSeMatrix(std::istream &is)
     return m;
 }
 
-namespace {
-
-/**
- * Bundle checksum. v2 hashes the body alone (the format predates
- * multiple versions and stays byte-compatible); v3 seeds the hash
- * with the version word so a bit flip that turns one valid version
- * into another can never hand a body to the wrong parser with a
- * still-matching checksum.
- */
-uint64_t
-bodyChecksum(uint32_t version, const std::string &body)
-{
-    const uint64_t seed = version == kVersion
-                              ? kFnvOffsetBasis
-                              : hashValue(version);
-    return fnv1a(body.data(), body.size(), seed);
-}
-
-/**
- * Frame a serialized body with the shared header (magic, version,
- * size, FNV-1a checksum); load verifies all four before parsing a
- * byte of the body.
- */
-void
-writeFramedBody(std::ostream &os, uint32_t version,
-                const std::string &body)
-{
-    writePod<uint32_t>(os, kMagic);
-    writePod<uint32_t>(os, version);
-    writePod<uint64_t>(os, (uint64_t)body.size());
-    writePod<uint64_t>(os, bodyChecksum(version, body));
-    os.write(body.data(), (std::streamsize)body.size());
-}
-
-/**
- * Verify the rest of a v2/v3 frame (magic and version words already
- * consumed by loadModelBundle's dispatch) and return the body.
- */
-std::string
-readFramedBodyRest(std::istream &is, uint32_t version)
-{
-    const uint64_t body_size = readPod<uint64_t>(is);
-    const uint64_t checksum = readPod<uint64_t>(is);
-    if (body_size > kMaxBodyBytes)
-        throw ModelFileError("implausible model file size");
-    // On seekable streams, reject a corrupted size field before
-    // allocating body_size bytes for it.
-    const std::streampos at = is.tellg();
-    if (at != std::streampos(-1)) {
-        is.seekg(0, std::ios::end);
-        const std::streampos end = is.tellg();
-        is.seekg(at);
-        if (end != std::streampos(-1) &&
-            (uint64_t)(end - at) < body_size)
-            throw ModelFileError("truncated model file");
-    }
-    std::string body((size_t)body_size, '\0');
-    is.read(body.data(), (std::streamsize)body_size);
-    if ((uint64_t)is.gcount() != body_size)
-        throw ModelFileError("truncated model file");
-    if (bodyChecksum(version, body) != checksum)
-        throw ModelFileError("model file checksum mismatch "
-                             "(corrupted stream)");
-    return body;
-}
-
-std::vector<SeLayerRecord>
-loadRecords(std::istream &body_is, uint32_t version)
-{
-    const uint32_t n = readPod<uint32_t>(body_is);
-    if (n > (1u << 20))
-        throw ModelFileError("implausible layer count in model file");
-    std::vector<SeLayerRecord> layers((size_t)n);
-    for (auto &l : layers) {
-        l.name = readString(body_is);
-        const uint32_t pieces = readPod<uint32_t>(body_is);
-        if (pieces > (1u << 24))
-            throw ModelFileError("implausible piece count");
-        l.pieces.reserve(pieces);
-        for (uint32_t i = 0; i < pieces; ++i) {
-            // A bundle can hold thousands of pieces; name the one
-            // that failed or a corruption report is undebuggable.
-            try {
-                l.pieces.push_back(version == kVersionV3
-                                       ? loadSeMatrixV3(body_is)
-                                       : loadSeMatrix(body_is));
-            } catch (const ModelFileError &e) {
-                throw ModelFileError(
-                    "record '" + l.name + "' piece " +
-                    std::to_string(i) + ": " + e.what());
-            }
-        }
-    }
-    return layers;
-}
-
-} // namespace
-
 // ------------------------------------------------- v4 streaming codec
 
 namespace {
@@ -590,8 +337,8 @@ alignUp(uint64_t v, uint64_t a)
 }
 
 /** Every v4 checksum (meta and per piece) is seeded with the version
- *  word, like the v3 body checksum — a flip that changes the version
- *  can never keep a matching digest. */
+ *  word, so a flip that changes the version can never keep a matching
+ *  digest. */
 uint64_t
 v4Seed()
 {
@@ -612,13 +359,14 @@ codeBitWidth(uint32_t v)
     return w;
 }
 
-/** v4 piece header: the v3 header plus the basis scale, minus the
- *  non-zero-row count (derived from the row mask at decode). */
+/** v4 piece header: rows u32, rank u16, cols u16, expMax i16,
+ *  numLevels u8, iterations i32, reconRelError f64, basis scale f32.
+ *  The non-zero-row count is derived from the row mask at decode. */
 constexpr size_t kV4PieceHeaderBytes = 27;
 
 /**
- * Serialize one piece at v4 width: 27-byte header, row mask (v3
- * rules), a 2-bit-packed width table, the adaptive sign+magnitude
+ * Serialize one piece at v4 width: 27-byte header, row mask (one bit
+ * per row, LSB-first, tail bits clear), a 2-bit-packed width table, the adaptive sign+magnitude
  * bitstream (byte-aligned flush), then the basis as int8. Throws
  * unless the basis sits exactly on its own 8-bit fixed-point grid —
  * shipping a rounded basis would serve different bits than the
@@ -633,16 +381,18 @@ encodePieceV4(const SeMatrix &m)
     if (rank > 0xFFFF || cols > 0xFFFF ||
         m.alphabet.expMax < -32768 || m.alphabet.expMax > 32767)
         throw ModelFileError(
-            "matrix too wide for the v4 piece header (save as v2)");
+            "rank " + std::to_string(rank) + ", basis width " +
+            std::to_string(cols) + " or expMax " +
+            std::to_string(m.alphabet.expMax) +
+            " does not fit the v4 piece header (u16, u16, i16)");
     if (m.alphabet.numLevels < 1 ||
         m.alphabet.numLevels > kMaxPackedLevels)
         throw ModelFileError(
             "alphabet has " + std::to_string(m.alphabet.numLevels) +
-            " levels; adaptive packing carries at most " +
-            std::to_string(kMaxPackedLevels) +
-            " (save this model as v2)");
+            " levels; bundles carry at most " +
+            std::to_string(kMaxPackedLevels) + " (coefBits <= 4)");
 
-    // Surviving rows and their sign|code bytes, v2 byte encoding.
+    // Surviving rows and their sign|code bytes (encodeCoef).
     std::vector<uint8_t> row_mask((size_t)((rows + 7) / 8), 0);
     std::vector<uint8_t> codes;
     codes.reserve((size_t)m.ce.size());
@@ -677,8 +427,7 @@ encodePieceV4(const SeMatrix &m)
         if (std::memcmp(&back, &orig, sizeof(float)) != 0)
             throw ModelFileError(
                 "basis is not at an 8-bit fixed point; run "
-                "quantizeBasisAtCompress() before saveModelV4, or "
-                "ship this model as v3");
+                "quantizeBasisAtCompress() first");
         q[(size_t)i] = (int8_t)v;
     }
 
@@ -847,6 +596,48 @@ decodePieceV4Payload(const uint8_t *p, size_t len)
     return m;
 }
 
+/** The 32-byte header's fields past magic and version. */
+struct Header
+{
+    uint64_t metaBytes = 0;
+    uint64_t fileBytes = 0;
+    uint64_t checksum = 0;
+};
+
+/**
+ * Parse the header from the first `size` bytes of a bundle: magic,
+ * then the version word (anything but 4 is refused by name), then the
+ * meta and file sizes with their plausibility checks. Shared by
+ * parseMeta and loadModelBundle, which sizes its read from fileBytes.
+ */
+Header
+parseHeader(const uint8_t *file, size_t size)
+{
+    if (size < 8)
+        throw ModelFileError("truncated model file");
+    BufReader h(file, size);
+    if (h.pod<uint32_t>() != kMagic)
+        throw ModelFileError("not a SmartExchange model file");
+    const uint32_t version = h.pod<uint32_t>();
+    if (version != kVersionV4)
+        throw ModelFileError("model file version " +
+                             std::to_string(version) +
+                             " is not supported; only v4 bundles load");
+    if (size < modelv4::kHeaderBytes)
+        throw ModelFileError("truncated model file");
+    Header hd;
+    hd.metaBytes = h.pod<uint64_t>();
+    hd.fileBytes = h.pod<uint64_t>();
+    hd.checksum = h.pod<uint64_t>();
+    if (hd.fileBytes < modelv4::kHeaderBytes ||
+        hd.fileBytes > kMaxBodyBytes)
+        throw ModelFileError("implausible model file size");
+    if (hd.metaBytes > hd.fileBytes - modelv4::kHeaderBytes)
+        throw ModelFileError(
+            "meta section overruns the model file");
+    return hd;
+}
+
 } // namespace
 
 namespace modelv4 {
@@ -854,32 +645,16 @@ namespace modelv4 {
 Meta
 parseMeta(const uint8_t *file, size_t size)
 {
-    if (size < kHeaderBytes)
-        throw ModelFileError("truncated model file");
-    BufReader h(file, kHeaderBytes);
-    if (h.pod<uint32_t>() != kMagic)
-        throw ModelFileError("not a SmartExchange model file");
-    const uint32_t version = h.pod<uint32_t>();
-    if (version != kVersionV4)
-        throw ModelFileError(
-            "model file version " + std::to_string(version) +
-            " is not a v4 streaming bundle");
+    const Header hd = parseHeader(file, size);
     Meta meta;
-    meta.metaBytes = h.pod<uint64_t>();
-    meta.fileBytes = h.pod<uint64_t>();
-    const uint64_t checksum = h.pod<uint64_t>();
-    if (meta.fileBytes < kHeaderBytes ||
-        meta.fileBytes > kMaxBodyBytes)
-        throw ModelFileError("implausible model file size");
-    if (meta.metaBytes > meta.fileBytes - kHeaderBytes)
-        throw ModelFileError(
-            "meta section overruns the model file");
+    meta.metaBytes = hd.metaBytes;
+    meta.fileBytes = hd.fileBytes;
     if ((uint64_t)size != meta.fileBytes)
         throw ModelFileError(
             "model file size does not match its header "
             "(truncated or trailing bytes)");
     if (fnv1a(file + kHeaderBytes, (size_t)meta.metaBytes, v4Seed()) !=
-        checksum)
+        hd.checksum)
         throw ModelFileError(
             "model file meta checksum mismatch (corrupted stream)");
 
@@ -1079,24 +854,18 @@ loadBundleV4(const uint8_t *file, size_t size)
     return bundle;
 }
 
-/** Continue a v4 load after loadModelBundle consumed magic+version:
- *  rebuild the full image and run the shared buffer path. */
+} // namespace
+
 ModelBundle
-loadBundleV4Stream(std::istream &is)
+loadModelBundle(std::istream &is)
 {
     std::string file(modelv4::kHeaderBytes, '\0');
-    std::memcpy(&file[0], &kMagic, sizeof(kMagic));
-    std::memcpy(&file[4], &kVersionV4, sizeof(kVersionV4));
-    is.read(&file[8], 24);
-    if (is.gcount() != 24)
-        throw ModelFileError("truncated model file");
-    uint64_t file_bytes = 0;
-    std::memcpy(&file_bytes, file.data() + 16, sizeof(file_bytes));
-    if (file_bytes < modelv4::kHeaderBytes ||
-        file_bytes > kMaxBodyBytes)
-        throw ModelFileError("implausible model file size");
+    is.read(&file[0], (std::streamsize)file.size());
+    const Header hd = parseHeader(
+        reinterpret_cast<const uint8_t *>(file.data()),
+        (size_t)is.gcount());
     // On seekable streams, reject a corrupted size field before
-    // allocating for it (same policy as the v2/v3 frame reader).
+    // allocating for it.
     const std::streampos at = is.tellg();
     if (at != std::streampos(-1)) {
         is.seekg(0, std::ios::end);
@@ -1104,13 +873,13 @@ loadBundleV4Stream(std::istream &is)
         is.seekg(at);
         if (stream_end != std::streampos(-1) &&
             (uint64_t)(stream_end - at) <
-                file_bytes - modelv4::kHeaderBytes)
+                hd.fileBytes - modelv4::kHeaderBytes)
             throw ModelFileError("truncated model file");
     }
-    file.resize((size_t)file_bytes);
+    file.resize((size_t)hd.fileBytes);
     is.read(&file[modelv4::kHeaderBytes],
-            (std::streamsize)(file_bytes - modelv4::kHeaderBytes));
-    if ((uint64_t)is.gcount() != file_bytes - modelv4::kHeaderBytes)
+            (std::streamsize)(hd.fileBytes - modelv4::kHeaderBytes));
+    if ((uint64_t)is.gcount() != hd.fileBytes - modelv4::kHeaderBytes)
         throw ModelFileError("truncated model file");
     // The header's fileBytes is not under the meta checksum, so a
     // flip there must be caught structurally: the stream must end
@@ -1119,122 +888,6 @@ loadBundleV4Stream(std::istream &is)
         throw ModelFileError("trailing bytes past the model file");
     return loadBundleV4(
         reinterpret_cast<const uint8_t *>(file.data()), file.size());
-}
-
-} // namespace
-
-void
-saveModel(std::ostream &os, const std::vector<SeLayerRecord> &layers)
-{
-    std::ostringstream body_os(std::ios::binary);
-    writePod<uint32_t>(body_os, (uint32_t)layers.size());
-    for (const auto &l : layers) {
-        writeString(body_os, l.name);
-        writePod<uint32_t>(body_os, (uint32_t)l.pieces.size());
-        for (const auto &p : l.pieces)
-            saveSeMatrix(body_os, p);
-    }
-    writeFramedBody(os, kVersion, body_os.str());
-}
-
-void
-saveModelV3(std::ostream &os,
-            const std::vector<SeLayerRecord> &layers,
-            const std::vector<DenseTensor> &dense)
-{
-    std::ostringstream body_os(std::ios::binary);
-    writePod<uint32_t>(body_os, (uint32_t)layers.size());
-    for (const auto &l : layers) {
-        writeString(body_os, l.name);
-        writePod<uint32_t>(body_os, (uint32_t)l.pieces.size());
-        for (const auto &p : l.pieces)
-            saveSeMatrixV3(body_os, p);
-    }
-    writePod<uint32_t>(body_os, (uint32_t)dense.size());
-    for (const auto &d : dense)
-        saveDenseTensor(body_os, d);
-    writeFramedBody(os, kVersionV3, body_os.str());
-}
-
-ModelBundle
-loadModelBundle(std::istream &is)
-{
-    if (readPod<uint32_t>(is) != kMagic)
-        throw ModelFileError("not a SmartExchange model file");
-    const uint32_t version = readPod<uint32_t>(is);
-    if (version == kVersionV4)
-        return loadBundleV4Stream(is);
-    if (version != kVersion && version != kVersionV3)
-        throw ModelFileError("unsupported model file version");
-    const std::string body = readFramedBodyRest(is, version);
-    std::istringstream body_is(body, std::ios::binary);
-    ModelBundle bundle;
-    bundle.records = loadRecords(body_is, version);
-    if (version == kVersionV3) {
-        const uint32_t n = readPod<uint32_t>(body_is);
-        if (n > (1u << 20))
-            throw ModelFileError(
-                "implausible dense tensor count in model file");
-        bundle.dense.reserve(n);
-        for (uint32_t i = 0; i < n; ++i) {
-            try {
-                bundle.dense.push_back(loadDenseTensor(body_is));
-            } catch (const ModelFileError &e) {
-                throw ModelFileError("dense tensor " +
-                                     std::to_string(i) + ": " +
-                                     e.what());
-            }
-        }
-    }
-    // Trailing garbage inside a checksummed body is still damage: two
-    // different byte streams must never load as the same bundle.
-    if (body_is.peek() != std::char_traits<char>::eof())
-        throw ModelFileError("trailing bytes in model file body");
-    return bundle;
-}
-
-std::vector<SeLayerRecord>
-loadModel(std::istream &is)
-{
-    ModelBundle bundle = loadModelBundle(is);
-    if (!bundle.dense.empty())
-        throw ModelFileError(
-            "bundle carries dense residual state; load it with "
-            "loadModelBundle() instead of the records-only view");
-    return std::move(bundle.records);
-}
-
-void
-saveModelFile(const std::string &path,
-              const std::vector<SeLayerRecord> &layers)
-{
-    // The failpoint takes the exact path a full disk / yanked volume
-    // would: ModelFileError out of the save, nothing half-installed.
-    SE_FAILPOINT_THROW("model_file_save_io", ModelFileError);
-    std::ofstream os(path, std::ios::binary);
-    if (!os.good())
-        throw ModelFileError("cannot open " + path + " for writing");
-    saveModel(os, layers);
-}
-
-std::vector<SeLayerRecord>
-loadModelFile(const std::string &path)
-{
-    SE_FAILPOINT_THROW("model_file_load_io", ModelFileError);
-    std::ifstream is(path, std::ios::binary);
-    if (!is.good())
-        throw ModelFileError("cannot open " + path + " for reading");
-    return loadModel(is);
-}
-
-void
-saveModelV3File(const std::string &path, const ModelBundle &b)
-{
-    SE_FAILPOINT_THROW("model_file_save_io", ModelFileError);
-    std::ofstream os(path, std::ios::binary);
-    if (!os.good())
-        throw ModelFileError("cannot open " + path + " for writing");
-    saveModelV3(os, b.records, b.dense);
 }
 
 void
@@ -1351,9 +1004,9 @@ compressToRecords(nn::Sequential &net, const SeOptions &se_opts,
     if (apply_opts.channelGammaThreshold > 0.0)
         SE_WARN("compressToRecords: channel pruning mutates BN "
                 "gamma/beta in THIS net; the mutated state ships in "
-                "CompressedModel::dense and only saveModelV3 writes "
-                "it — a records-only v2 save of this model serves "
-                "diverged outputs from a fresh factory net.");
+                "CompressedModel::dense — installing the records "
+                "alone into a fresh factory net serves diverged "
+                "outputs.");
     CompressionPlan plan = planCompression(net, se_opts, apply_opts);
 
     std::vector<SeMatrix> results;
@@ -1452,7 +1105,7 @@ installRecordsImpl(nn::Sequential &net,
     // factory net's unrelated gamma values. Pruned CONV channels
     // arrive zeroed through the records themselves; pruned BN
     // gamma/beta state arrives through the dense residual when the
-    // caller ships one (v3) — without it, the factory net must
+    // caller ships one — without it, the factory net must
     // bit-reproduce the compression-time non-decomposed state.
     ApplyOptions install_opts = apply_opts;
     install_opts.channelGammaThreshold = 0.0;

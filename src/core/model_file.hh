@@ -3,52 +3,33 @@
  * On-disk format for SmartExchange-form weights — what a deployment
  * pipeline would ship to the accelerator (or to se::serve).
  *
- * Two bundle versions share one header (magic, version, body size,
- * FNV-1a body checksum — truncated or bit-corrupted streams are
- * always rejected with a ModelFileError instead of crashing or
- * silently mis-loading):
+ * There is one bundle format, v4 (saveModelV4): the paper's storage
+ * form. A 32-byte header (magic, version 4, meta and file sizes, a
+ * version-seeded FNV-1a checksum of the meta) precedes a small meta
+ * section (record table, dense residual — BN gamma/beta/running
+ * stats, biases, undecomposed weights — and an 8-byte-per-piece
+ * directory of lengths + checksums; offsets are derived, not stored),
+ * followed by the piece region: its start is 64-byte aligned, and
+ * the independently-checksummed payloads pack back-to-back inside it,
+ * so core::StreamedModel can mmap a bundle, verify only the meta (and
+ * the padding after it) at open, and decode pieces lazily on first
+ * touch. A payload stores Ce as a 1-bit non-zero row mask plus
+ * tthresh-style adaptive bit widths per column (each column pays only
+ * the bits its occupied code alphabet needs, sign+magnitude, flushed
+ * through encode::BitWriter; the width table itself is 2-bit packed),
+ * and the basis as 8-bit fixed-point integers plus one float scale —
+ * the paper's accelerator width. saveModelV4 therefore requires every
+ * basis to already BE 8-bit fixed-point (it throws otherwise): run
+ * quantizeBasisAtCompress() at compression time so the live net and
+ * the shipped bundle stay bit-faithful to each other. Alphabets wider
+ * than 7 levels (coefBits > 4) do not fit and make the save throw.
  *
- *  - v2 (saveModel): coefficients as one byte per entry holding
- *    {zero | sign, exponent-code}, the basis as float32, plus the
- *    alphabet so the power-of-2 codes decode exactly. Records only —
- *    a channel-pruned model is NOT servable from a v2 bundle alone
- *    (its BN gamma/beta were mutated at compression time).
- *
- *  - v3 (saveModelV3): the hardware's true storage width. All-zero Ce
- *    rows collapse to a 1-bit row mask and the surviving rows pack
- *    two 4-bit codes per byte (sign + 3 exponent bits, exactly the
- *    paper's Omega_P encoding), plus a dense-residual section —
- *    BN gamma/beta/running stats, biases, undecomposed weights — so
- *    a channel-pruned model round-trips and serves from the bundle
- *    alone. Coefficient round-trips stay exact (codes are codes);
- *    only layers whose alphabet exceeds 7 levels (coefBits > 4)
- *    cannot be packed and make saveModelV3 throw.
- *
- *  - v4 (saveModelV4): the streaming format. A small meta section
- *    (record table, dense residual, 8-byte-per-piece directory of
- *    lengths + FNV-1a checksums — offsets are derived, not stored)
- *    under its own version-seeded checksum, followed by the piece
- *    region: its start is 64-byte aligned, and the independently-
- *    checksummed payloads pack back-to-back inside it, so
- *    core::StreamedModel can mmap a bundle, verify only the
- *    meta (and the padding after it) at open, and decode pieces
- *    lazily on first touch. Piece
- *    payloads shrink below v3 two ways: Ce columns carry tthresh-
- *    style adaptive bit widths (each column pays only the bits its
- *    occupied code alphabet needs, sign+magnitude, byte-aligned
- *    per-piece flush through encode::BitWriter; the width table
- *    itself is 2-bit packed), and the basis ships
- *    as 8-bit fixed-point integers plus one float scale — the
- *    paper's accelerator width. saveModelV4 therefore requires every
- *    basis to already BE 8-bit fixed-point (it throws otherwise):
- *    run quantizeBasisAtCompress() at compression time so the live
- *    net and the shipped bundle stay bit-faithful to each other.
- *
- * loadModelBundle() accepts all versions; loadModel() remains the
- * records-only view (and refuses to silently drop a v3/v4 bundle's
- * dense section). Load errors name the offending record, piece index
- * and byte offset, so a corrupt multi-thousand-piece bundle is
- * debuggable from the message alone.
+ * Any other version word is refused with a ModelFileError naming it.
+ * Truncated or bit-corrupted streams are always rejected with a
+ * ModelFileError instead of crashing or silently mis-loading, and load
+ * errors name the offending record, piece index and byte offset, so a
+ * corrupt multi-thousand-piece bundle is debuggable from the message
+ * alone.
  */
 
 #ifndef SE_CORE_MODEL_FILE_HH
@@ -78,11 +59,16 @@ class ModelFileError : public std::runtime_error
     using std::runtime_error::runtime_error;
 };
 
-/** Serialize one SmartExchange matrix. */
+/**
+ * Serialize one SmartExchange matrix: the spill codec of
+ * runtime::DecompCache's `.sedc` files. Fixed-width header, one byte
+ * per Ce code ({zero | sign, exponent code}), float32 basis — any
+ * alphabet up to 126 levels, not a bundle format.
+ */
 void saveSeMatrix(std::ostream &os, const SeMatrix &m);
 
 /**
- * Deserialize one SmartExchange matrix (exact round trip). Throws
+ * Deserialize one saveSeMatrix matrix (exact round trip). Throws
  * ModelFileError on truncation or implausible metadata.
  */
 SeMatrix loadSeMatrix(std::istream &is);
@@ -108,11 +94,13 @@ struct DenseTensor
     Tensor value;
 };
 
-/** An in-memory model bundle: records plus (v3) dense residual. */
+/** An in-memory model bundle: records plus dense residual. */
 struct ModelBundle
 {
     std::vector<SeLayerRecord> records;
-    std::vector<DenseTensor> dense;  ///< empty for v2 loads
+    /** Everything the records do not carry (see DenseTensor); empty
+     *  only for a bundle saved without one. */
+    std::vector<DenseTensor> dense;
 };
 
 /**
@@ -120,8 +108,9 @@ struct ModelBundle
  * non-zero mask plus the surviving rows' codes packed two 4-bit
  * nibbles per byte (low nibble first; nibble = 0 for zero, else
  * sign bit 0x8 | exponent code 1..numLevels; 0x8 alone is illegal).
- * This is both the v3 wire form and what serve's CeDirect weight
- * source keeps in memory and feeds to kernels::gemmCeB.
+ * This is the in-memory form serve's CeDirect weight source packs at
+ * session bind and feeds to kernels::gemmCeB; it is never written to
+ * a file.
  */
 struct PackedCe
 {
@@ -135,32 +124,14 @@ struct PackedCe
 
 /**
  * Pack a Ce tensor (entries in Omega_P) at true 4-bit width. Throws
- * ModelFileError when the alphabet needs more than 7 levels (a
- * coefBits > 4 run cannot pack; ship it as v2).
+ * ModelFileError when the alphabet needs more than 7 levels: a
+ * nibble holds one sign bit and a 3-bit exponent code, so a
+ * coefBits > 4 run cannot pack.
  */
 PackedCe packCe(const Tensor &ce, const quant::Pow2Alphabet &alphabet);
 
 /** Exact inverse of packCe. */
 Tensor unpackCe(const PackedCe &p);
-
-/** Serialize a whole model's decomposed layers to a stream (v2). */
-void saveModel(std::ostream &os,
-               const std::vector<SeLayerRecord> &layers);
-
-/**
- * Load the records of a model bundle. Throws ModelFileError on any
- * damage, and on a v3 bundle that carries dense residual state (which
- * this records-only view would silently drop — use loadModelBundle).
- */
-std::vector<SeLayerRecord> loadModel(std::istream &is);
-
-/**
- * Serialize records + dense residual as a v3 bundle: packed 4-bit Ce
- * codes with zero rows elided, float32 bases, float32 dense tensors.
- */
-void saveModelV3(std::ostream &os,
-                 const std::vector<SeLayerRecord> &layers,
-                 const std::vector<DenseTensor> &dense = {});
 
 /**
  * Serialize records + dense residual as a v4 streaming bundle:
@@ -176,14 +147,14 @@ void saveModelV4(std::ostream &os,
                  const std::vector<SeLayerRecord> &layers,
                  const std::vector<DenseTensor> &dense = {});
 
-/** Load a v2, v3 or v4 bundle. Throws ModelFileError on any damage. */
+/**
+ * Load and fully validate a v4 bundle, every piece decoded. Throws
+ * ModelFileError on any damage, and on any other version word (the
+ * message names the version).
+ */
 ModelBundle loadModelBundle(std::istream &is);
 
 /** Save to / load from a file path. */
-void saveModelFile(const std::string &path,
-                   const std::vector<SeLayerRecord> &layers);
-std::vector<SeLayerRecord> loadModelFile(const std::string &path);
-void saveModelV3File(const std::string &path, const ModelBundle &b);
 void saveModelV4File(const std::string &path, const ModelBundle &b);
 ModelBundle loadModelBundleFile(const std::string &path);
 
@@ -282,12 +253,11 @@ struct CompressedModel
      */
     std::vector<SeLayerRecord> records;
     /**
-     * The dense residual (what used to be a "BN not shipped" warning,
-     * now shipped data): BN gamma/beta/running stats, biases, and
+     * The dense residual: BN gamma/beta/running stats, biases, and
      * undecomposed weights, captured AFTER channel pruning — so a
      * pruned model serves from {records, dense} alone, no out-of-band
-     * restore. saveModelV3 ships it; v2 saves drop it (legacy
-     * contract: the serving factory must bit-reproduce this state).
+     * restore. saveModelV4 ships it and installModelBundle() puts it
+     * back.
      */
     std::vector<DenseTensor> dense;
     CompressionReport report;
@@ -381,7 +351,7 @@ CompressionReport installLayerRecords(
 
 /**
  * installLayerRecords for a whole bundle: install the dense residual
- * first (when present), then the Ce*B reconstructions. With a v3
+ * first (when present), then the Ce*B reconstructions. With the
  * bundle of a channel-pruned model this restores the pruned BN
  * state — the fresh net ends bit-identical to the compression-time
  * net, with no out-of-band restore.

@@ -7,8 +7,8 @@
  * Bit order is LSB-first within each byte: bit k of the stream lives
  * at bit (k & 7) of byte (k >> 3), and a multi-bit field's least
  * significant bit is written first. This matches the nibble order of
- * the v3 packed-Ce form (low nibble first), so a 4-bit field written
- * at a byte boundary lands exactly where v3 would put it.
+ * core::PackedCe (low nibble first), so a 4-bit field written at a
+ * byte boundary lands exactly where packCe would put it.
  *
  * The writer never pads silently: alignToByte() is the only way bits
  * are skipped, and the reader's alignToByte() returns the pad bits it

@@ -4,11 +4,12 @@
  * coefficient codes, without ever materializing the decoded Ce matrix.
  *
  * This is the software mirror of the accelerator's rebuild engine
- * datapath: storage holds {row mask, packed nibbles, alphabet} — the
- * model-file v3 wire form — and the fused kernel decodes each code
- * through a 16-entry alphabet LUT as part of the A-side load inside
- * the ISA-dispatched micro-kernel, so not even a per-panel float
- * staging buffer exists (the accelerator's no-dense-storage mode).
+ * datapath: storage holds {row mask, packed nibbles, alphabet} —
+ * core::PackedCe, CeDirect's in-memory form — and the fused kernel
+ * decodes each code through a 16-entry alphabet LUT as part of the
+ * A-side load inside the ISA-dispatched micro-kernel, so not even a
+ * per-panel float staging buffer exists (the accelerator's
+ * no-dense-storage mode).
  *
  * Bit-identity contract: decoding a nibble yields exactly the float
  * +-2^p the dense path stores (powers of two are exact), the LUT is

@@ -109,7 +109,7 @@ class BatchNorm2d : public Layer
     const Tensor &gammaTensor() const { return gamma; }
     Tensor &betaTensor() { return beta; }
     /**
-     * Eval-mode normalization state. Exposed so model-file v3 can ship
+     * Eval-mode normalization state. Exposed so model bundles can ship
      * the dense residual (a served model must reproduce the
      * compression-time running stats, which no seeded re-build can).
      */

@@ -29,7 +29,7 @@ namespace runtime {
  */
 enum class ServeWeightSource
 {
-    Dense,     ///< decoded float Ce matrices (the v2-era path)
+    Dense,     ///< decoded float Ce matrices
     CeDirect,  ///< packed 4-bit codes through kernels::gemmCeB
 };
 
@@ -81,16 +81,6 @@ struct RuntimeOptions
      * rebuild wall-clock, never values.
      */
     ServeWeightSource serveWeightSource = ServeWeightSource::Dense;
-    /**
-     * Model-file version the drivers save bundles in
-     * (SE_MODEL_FORMAT = 2 | 3 | 4). v4 is the streaming format:
-     * adaptive per-column Ce bit widths, int8 basis (quantized at
-     * compress time), checksummed piece directory served lazily
-     * through core::StreamedModel. v3 packs Ce codes at fixed 4-bit
-     * width and ships the dense residual; v2 is the legacy
-     * byte-per-code records-only format.
-     */
-    int modelFormat = 3;
     /**
      * Spill directory of the persistent DecompCache (SE_CACHE_DIR).
      * Empty (the default) keeps the cache memory-only; set, every
@@ -183,14 +173,6 @@ struct RuntimeOptions
                 throw std::invalid_argument(
                     "SE_SERVE_WEIGHT_SOURCE must be dense|ce, got '" +
                     std::string(w) + "'");
-        }
-        if (const char *f = std::getenv("SE_MODEL_FORMAT")) {
-            const long long v = envInt("SE_MODEL_FORMAT", f);
-            if (v != 2 && v != 3 && v != 4)
-                throw std::invalid_argument(
-                    "SE_MODEL_FORMAT must be 2, 3 or 4, got '" +
-                    std::string(f) + "'");
-            ro.modelFormat = (int)v;
         }
         if (const char *d = std::getenv("SE_CACHE_DIR")) {
             if (*d == '\0')

@@ -144,7 +144,7 @@ ServeFront::buildGeneration(const ModelEntry &e, uint64_t number) const
     gen->number = number;
     gen->entry = e;
     // The entry decides its model's storage: weight source and
-    // (when shipped) the v3/v4 dense residual are per-model, so
+    // (when shipped) the dense residual are per-model, so
     // quantized and float engines coexist behind one front.
     ServeOptions eopts = perEngineOpts_;
     eopts.session.weightSource = e.weightSource;

@@ -92,11 +92,11 @@ struct ModelEntry
     core::SeOptions seOpts;
     core::ApplyOptions applyOpts;
     /**
-     * Model-file v3 dense residual (BN/bias/undecomposed state),
+     * The bundle's dense residual (BN/bias/undecomposed state),
      * installed into every replica at bind time. Null (the default)
-     * keeps the legacy v2 contract: the factory must bit-reproduce
-     * the compression-time non-decomposed state. Required to serve a
-     * channel-pruned bundle.
+     * means the factory must bit-reproduce the compression-time
+     * non-decomposed state. Required to serve a channel-pruned
+     * bundle.
      */
     std::shared_ptr<const std::vector<core::DenseTensor>> dense;
     /**
@@ -119,7 +119,7 @@ struct ModelEntry
 };
 
 /**
- * Wrap a loaded bundle (v2, v3 or v4) as a registrable entry: the
+ * Wrap a loaded bundle as a registrable entry: the
  * records and the dense residual move into shared ownership.
  */
 ModelEntry makeModelEntry(core::ModelBundle bundle, NetFactory factory,

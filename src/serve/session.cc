@@ -78,7 +78,7 @@ InferenceSession::InferenceSession(
         layers_.push_back(std::move(bl));
     }
 
-    // v3 dense residual: restore the non-decomposed state the records
+    // Dense residual: restore the non-decomposed state the records
     // cannot carry (pruned BN tensors, biases, undecomposed weights)
     // before anything runs. Full congruence is validated — a bundle
     // can never half-apply to a mismatched factory.

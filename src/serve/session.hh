@@ -49,9 +49,9 @@ Shape sampleShape(const Tensor &t);
 /**
  * What the rebuild engine reads W = Ce*B from.
  *
- *  - Dense: each piece's decoded float Ce matrix (the v2-era path).
- *  - CeDirect: the packed 4-bit codes (core::PackedCe — the model
- *    file v3 wire form), decoded per panel into a scratch arena by
+ *  - Dense: each piece's decoded float Ce matrix.
+ *  - CeDirect: the packed 4-bit codes (core::PackedCe, packed at
+ *    bind), decoded inside the GEMM micro-kernel by
  *    kernels::gemmCeB. The stored datapath width reaches the hot
  *    loop, mirroring the accelerator. Responses are bit-identical to
  *    Dense: nibble decode is exact (powers of two) and the panel
@@ -60,10 +60,9 @@ Shape sampleShape(const Tensor &t);
  *    i.e. SeOptions::coefBits == 4); binding a wider model throws
  *    core::ModelFileError.
  *
- * CeDirect is wire-format agnostic: bind packs whatever SeMatrix the
- * loader produced, so a v4 bundle's adaptive-width pieces transcode
- * to the same fixed 4-bit PackedCe here (codes are codes) and serve
- * bit-identically to the v3 path.
+ * Bind packs whatever SeMatrix the loader produced, so a v4 bundle's
+ * adaptive-width pieces transcode to the fixed 4-bit PackedCe here
+ * (codes are codes) and serve bit-identically to Dense.
  */
 enum class WeightSource
 {
@@ -88,12 +87,12 @@ struct SessionOptions
     /** Storage the cold rebuild path consumes. */
     WeightSource weightSource = WeightSource::Dense;
     /**
-     * Model-file v3 dense residual (BN gamma/beta/running stats,
+     * The bundle's dense residual (BN gamma/beta/running stats,
      * biases, undecomposed weights), installed into the net at bind
      * time with full congruence validation — this is what makes a
      * channel-pruned bundle servable with no out-of-band restore.
-     * Null or empty keeps the legacy contract: the factory net must
-     * bit-reproduce the compression-time non-decomposed state.
+     * Null or empty means the factory net must bit-reproduce the
+     * compression-time non-decomposed state.
      */
     std::shared_ptr<const std::vector<core::DenseTensor>> denseState;
 };
@@ -128,7 +127,7 @@ class InferenceSession
      * other tensor — BN gamma/beta/running stats, biases, layers too
      * small to decompose — comes from ONE of two places:
      *
-     *  - SessionOptions::denseState (a model-file v3 bundle's dense
+     *  - SessionOptions::denseState (a model bundle's dense
      *    residual): installed here with full congruence validation
      *    (throws core::ModelFileError on any name/shape drift). This
      *    is the only way to serve a channel-pruned model, whose BN

@@ -25,7 +25,7 @@ decodeNibble(uint8_t nib, int exp_min)
     const int code = nib & 0x7;
     if (code == 0) {
         // Nibble 0x8 (sign with a zero exponent code) never leaves
-        // packCe / the v3 loader.
+        // packCe.
         SE_ASSERT(nib == 0, "invalid packed Ce nibble");
         return 0.0f;
     }

@@ -2,14 +2,14 @@
  * @file
  * Property tests of the encode::BitWriter / BitReader pair under the
  * model-file v4 adaptive-width codec, plus differential tests pinning
- * the v4 decode bit-identical to the v3 decode of the same model.
+ * the v4 decode bit-identical to the records it was saved from.
  *
  * The bitstream layer is the one place a single off-by-one bit would
  * silently skew every coefficient after it, so the walls here are
  * exhaustive in spirit: random width sequences round-trip exactly,
  * the writer refuses values that do not fit and unaligned handoffs,
  * the reader refuses reads past the end, and the LSB-first layout is
- * pinned against the v3 nibble order byte for byte.
+ * pinned against core::PackedCe's nibble order byte for byte.
  */
 
 #include <gtest/gtest.h>
@@ -125,12 +125,12 @@ TEST(Bitstream, ReaderAlignReturnsDirtyPadBits)
     EXPECT_EQ(br.alignToByte(), 0u);  // aligned: no-op
 }
 
-TEST(Bitstream, LsbFirstLayoutMatchesV3NibbleOrder)
+TEST(Bitstream, LsbFirstLayoutMatchesPackedNibbleOrder)
 {
     // Two 4-bit fields per byte, first field in the LOW nibble —
     // exactly core::PackedCe's packing. Pin the bit order by writing
     // nibble values through the BitWriter and packing the same values
-    // the v3 way.
+    // the packCe way.
     Rng rng(2);
     std::vector<uint8_t> nibbles;
     encode::BitWriter bw;
@@ -149,7 +149,7 @@ TEST(Bitstream, LsbFirstLayoutMatchesV3NibbleOrder)
     EXPECT_EQ(std::memcmp(got.data(), expect.data(), got.size()), 0);
 }
 
-// ------------------------------------------- v4 vs v3 differential
+// ------------------------------------- v4 vs source-records differential
 
 /** A random SmartExchange-form matrix built directly (no ALS). */
 core::SeMatrix
@@ -203,11 +203,12 @@ expectRecordsBitIdentical(
     }
 }
 
-TEST(BitstreamDifferential, V4DecodeBitIdenticalToV3)
+TEST(BitstreamDifferential, V4DecodeBitIdenticalToSourceRecords)
 {
-    // Same records (bases quantized once, shared by both saves),
-    // shipped as v3 and as v4: the two loaders must hand back the
-    // same bits, coefficient for coefficient, basis for basis.
+    // Records with bases quantized once, shipped as v4: the loader
+    // must hand back the source bits, coefficient for coefficient,
+    // basis for basis, and every decoded Ce must pack to the same
+    // fixed-nibble PackedCe (CeDirect's form) as its source.
     Rng rng(3);
     for (int round = 0; round < 10; ++round) {
         std::vector<core::SeLayerRecord> records;
@@ -216,31 +217,34 @@ TEST(BitstreamDifferential, V4DecodeBitIdenticalToV3)
             {"b", {randomSeMatrix(rng), randomSeMatrix(rng)}});
         core::quantizeBasisAtCompress(records);
 
-        std::stringstream v3, v4;
-        core::saveModelV3(v3, records);
+        std::stringstream v4;
         core::saveModelV4(v4, records);
-        const core::ModelBundle b3 = core::loadModelBundle(v3);
         const core::ModelBundle b4 = core::loadModelBundle(v4);
-        expectRecordsBitIdentical(b3.records, b4.records);
         expectRecordsBitIdentical(records, b4.records);
 
-        // And the reconstructions (what serving actually computes)
-        // are bitwise equal as a consequence.
-        for (size_t r = 0; r < b3.records.size(); ++r)
-            for (size_t k = 0; k < b3.records[r].pieces.size(); ++k) {
-                const Tensor w3 =
-                    b3.records[r].pieces[k].reconstruct();
-                const Tensor w4 =
-                    b4.records[r].pieces[k].reconstruct();
-                EXPECT_EQ(std::memcmp(w3.data(), w4.data(),
-                                      (size_t)w3.size() *
+        for (size_t r = 0; r < records.size(); ++r)
+            for (size_t k = 0; k < records[r].pieces.size(); ++k) {
+                const core::SeMatrix &src = records[r].pieces[k];
+                const core::SeMatrix &got = b4.records[r].pieces[k];
+                const core::PackedCe ps =
+                    core::packCe(src.ce, src.alphabet);
+                const core::PackedCe pg =
+                    core::packCe(got.ce, got.alphabet);
+                EXPECT_EQ(ps.rowMask, pg.rowMask);
+                EXPECT_EQ(ps.nibbles, pg.nibbles);
+                // And the reconstructions (what serving actually
+                // computes) are bitwise equal as a consequence.
+                const Tensor ws = src.reconstruct();
+                const Tensor wg = got.reconstruct();
+                EXPECT_EQ(std::memcmp(ws.data(), wg.data(),
+                                      (size_t)ws.size() *
                                           sizeof(float)),
                           0);
             }
     }
 }
 
-TEST(BitstreamDifferential, V4DenseResidualMatchesV3)
+TEST(BitstreamDifferential, V4DenseResidualMatchesSource)
 {
     Rng rng(4);
     std::vector<core::SeLayerRecord> records;
@@ -250,18 +254,16 @@ TEST(BitstreamDifferential, V4DenseResidualMatchesV3)
         {"0:bn:gamma", randn({8}, rng)},
         {"1:conv:bias", randn({4}, rng)}};
 
-    std::stringstream v3, v4;
-    core::saveModelV3(v3, records, dense);
+    std::stringstream v4;
     core::saveModelV4(v4, records, dense);
-    const core::ModelBundle b3 = core::loadModelBundle(v3);
     const core::ModelBundle b4 = core::loadModelBundle(v4);
-    ASSERT_EQ(b3.dense.size(), b4.dense.size());
-    for (size_t i = 0; i < b3.dense.size(); ++i) {
-        EXPECT_EQ(b3.dense[i].name, b4.dense[i].name);
-        ASSERT_EQ(b3.dense[i].value.shape(), b4.dense[i].value.shape());
-        EXPECT_EQ(std::memcmp(b3.dense[i].value.data(),
-                              b4.dense[i].value.data(),
-                              (size_t)b3.dense[i].value.size() *
+    ASSERT_EQ(b4.dense.size(), dense.size());
+    for (size_t i = 0; i < dense.size(); ++i) {
+        EXPECT_EQ(b4.dense[i].name, dense[i].name);
+        ASSERT_EQ(b4.dense[i].value.shape(), dense[i].value.shape());
+        EXPECT_EQ(std::memcmp(b4.dense[i].value.data(),
+                              dense[i].value.data(),
+                              (size_t)dense[i].value.size() *
                                   sizeof(float)),
                   0);
     }

@@ -327,20 +327,22 @@ TEST_F(ModelFileInjection, SaveAndLoadFaultsAreTypedAndOneShot)
     auto net = makeTinyCnn(7);
     auto compressed =
         core::compressToRecords(*net, se_opts, apply_opts);
+    core::quantizeBasisAtCompress(*net, compressed, se_opts,
+                                  apply_opts);
+    const core::ModelBundle bundle = compressed.bundle();
 
     {
         failpoint::ScopedArm arm("model_file_save_io", "once");
-        EXPECT_THROW(core::saveModelFile(path, compressed.records),
+        EXPECT_THROW(core::saveModelV4File(path, bundle),
                      core::ModelFileError);
         // `once` spent: the retry goes through.
-        EXPECT_NO_THROW(
-            core::saveModelFile(path, compressed.records));
+        EXPECT_NO_THROW(core::saveModelV4File(path, bundle));
     }
     {
         failpoint::ScopedArm arm("model_file_load_io", "once");
-        EXPECT_THROW(core::loadModelFile(path),
+        EXPECT_THROW(core::loadModelBundleFile(path),
                      core::ModelFileError);
-        EXPECT_EQ(core::loadModelFile(path).size(),
+        EXPECT_EQ(core::loadModelBundleFile(path).records.size(),
                   compressed.records.size());
     }
     fs::remove(path);

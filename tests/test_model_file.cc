@@ -1,30 +1,21 @@
 /**
  * @file
- * Tests of the SmartExchange model-file format: exact round-trips of
- * coefficients (via their power-of-2 codes), basis matrices and
- * metadata; bundle save/load; property/fuzz coverage (random
- * matrices, truncated prefixes, single-bit corruption — every damaged
- * stream must raise ModelFileError, never crash or silently
- * mis-load); and the nn <-> record glue (compressToRecords /
- * installLayerRecords).
+ * Tests of the SmartExchange model file. The single-matrix spill
+ * codec (saveSeMatrix/loadSeMatrix) and the in-memory PackedCe form
+ * round-trip exactly; garbage, a bad magic and every version word
+ * but 4 are refused with a ModelFileError, never a crash.
  *
- * The v3 wall mirrors the v2 one at the packed 4-bit width: exact
- * round trips with zero-row elision (including odd code counts),
- * dense-residual round trips of channel-pruned models with no
- * out-of-band restore, truncation/bit-flip rejection, and — behind a
- * checksum-fixup helper — the structural validation the checksum
- * alone cannot exercise (0x80-style invalid nibbles, codes outside
- * the alphabet, dirty padding, mask/count disagreement).
- *
- * The v4 wall extends the same discipline to the streaming format:
- * adaptive-width round trips (all-zero columns, single-row pieces,
- * 1/2/3-bit alphabets), the quantize-at-compress contract, full
+ * The v4 bundle wall: adaptive-width round trips (all-zero columns,
+ * single-row pieces, odd code counts, 1/2/3-bit alphabets), dense
+ * residual round trips, the quantize-at-compress contract, full
  * truncation/bit-flip rejection across header + meta + directory +
  * payloads + padding, structural corruption behind BOTH fixed-up
  * checksums (piece and meta), error messages that name the offending
  * record/piece/offset, and the StreamedModel lazy loader (O(meta)
  * open that still checks the padding, decode-on-touch, corrupt-piece
- * containment).
+ * containment). The nn <-> record glue (compressToRecords,
+ * installLayerRecords, installModelBundle) round-trips plain and
+ * channel-pruned models through v4 with no out-of-band restore.
  */
 
 #include <gtest/gtest.h>
@@ -104,6 +95,21 @@ expectBitIdentical(const core::SeMatrix &a, const core::SeMatrix &b)
     EXPECT_DOUBLE_EQ(a.reconRelError, b.reconRelError);
 }
 
+/** Run `fn`; it must throw a ModelFileError whose message holds
+ *  `want`. */
+void
+expectModelFileError(const std::function<void()> &fn,
+                     const std::string &want)
+{
+    try {
+        fn();
+        ADD_FAILURE() << "no ModelFileError; wanted \"" << want << "\"";
+    } catch (const core::ModelFileError &e) {
+        EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+            << e.what();
+    }
+}
+
 TEST(ModelFile, SeMatrixExactRoundTrip)
 {
     auto m = makeMatrix(1);
@@ -123,61 +129,39 @@ TEST(ModelFile, ReconstructionIdenticalAfterRoundTrip)
               1e-6);
 }
 
-TEST(ModelFile, BundleRoundTrip)
-{
-    std::vector<core::SeLayerRecord> layers;
-    layers.push_back({"conv1", {makeMatrix(3), makeMatrix(4)}});
-    layers.push_back({"conv2", {makeMatrix(5)}});
-
-    std::stringstream ss;
-    core::saveModel(ss, layers);
-    auto back = core::loadModel(ss);
-
-    ASSERT_EQ(back.size(), 2u);
-    EXPECT_EQ(back[0].name, "conv1");
-    EXPECT_EQ(back[0].pieces.size(), 2u);
-    EXPECT_EQ(back[1].name, "conv2");
-    for (int64_t i = 0; i < layers[0].pieces[1].ce.size(); ++i)
-        EXPECT_FLOAT_EQ(back[0].pieces[1].ce[i],
-                        layers[0].pieces[1].ce[i]);
-}
-
-TEST(ModelFile, FileRoundTripOnDisk)
-{
-    std::vector<core::SeLayerRecord> layers;
-    layers.push_back({"layer", {makeMatrix(6)}});
-    const std::string path = "/tmp/se_model_test.sexm";
-    core::saveModelFile(path, layers);
-    auto back = core::loadModelFile(path);
-    ASSERT_EQ(back.size(), 1u);
-    EXPECT_EQ(back[0].name, "layer");
-}
-
 TEST(ModelFile, RejectsBadMagic)
 {
     std::stringstream ss;
     ss << "this is not a model file at all";
-    EXPECT_THROW(core::loadModel(ss), core::ModelFileError);
+    EXPECT_THROW(core::loadModelBundle(ss), core::ModelFileError);
 }
 
 TEST(ModelFile, WholeConvLayerRoundTrip)
 {
-    // Decompose a real conv layer, ship it, rebuild the weights from
-    // the loaded form: same tensor as rebuilding from the original.
+    // Decompose a real conv layer, pin its bases, ship it as v4 and
+    // rebuild the weights from the loaded form: the same bits as
+    // rebuilding from the shipped records.
     Rng rng(7);
     nn::Conv2d conv(4, 6, 3, 1, 1, 1, rng, false);
     core::SeOptions opts;
     opts.minVectorSparsity = 0.3;
-    auto pieces = core::decomposeConvWeight(conv.weightTensor(), opts,
-                                            core::ApplyOptions{});
+    std::vector<core::SeLayerRecord> layers{
+        {"conv", core::decomposeConvWeight(conv.weightTensor(), opts,
+                                           core::ApplyOptions{})}};
+    core::quantizeBasisAtCompress(layers);
     std::stringstream ss;
-    core::saveModel(ss, {{"conv", pieces}});
-    auto back = core::loadModel(ss);
-    ASSERT_EQ(back[0].pieces.size(), pieces.size());
-    for (size_t i = 0; i < pieces.size(); ++i)
-        EXPECT_LT(linalg::frobDiff(pieces[i].reconstruct(),
-                                   back[0].pieces[i].reconstruct()),
-                  1e-6);
+    core::saveModelV4(ss, layers);
+    const auto back = core::loadModelBundle(ss);
+    const auto &pieces = layers[0].pieces;
+    ASSERT_EQ(back.records[0].pieces.size(), pieces.size());
+    for (size_t i = 0; i < pieces.size(); ++i) {
+        const Tensor a = pieces[i].reconstruct();
+        const Tensor b = back.records[0].pieces[i].reconstruct();
+        EXPECT_EQ(std::memcmp(a.data(), b.data(),
+                              (size_t)a.size() * sizeof(float)),
+                  0)
+            << "piece " << i;
+    }
 }
 
 TEST(ModelFile, StorageIsCompact)
@@ -202,77 +186,6 @@ TEST(ModelFileProperty, RandomMatricesRoundTripExactly)
         core::saveSeMatrix(ss, m);
         auto back = core::loadSeMatrix(ss);
         expectBitIdentical(m, back);
-    }
-}
-
-TEST(ModelFileProperty, RandomBundlesRoundTripExactly)
-{
-    Rng rng(99);
-    for (int trial = 0; trial < 10; ++trial) {
-        std::vector<core::SeLayerRecord> layers;
-        const int64_t n = rng.integer(0, 5);
-        for (int64_t l = 0; l < n; ++l) {
-            core::SeLayerRecord rec;
-            rec.name = "layer_" + std::to_string(trial) + "_" +
-                       std::to_string(l);
-            const int64_t pieces = rng.integer(1, 4);
-            for (int64_t p = 0; p < pieces; ++p)
-                rec.pieces.push_back(randomSeMatrix(rng));
-            layers.push_back(std::move(rec));
-        }
-        std::stringstream ss;
-        core::saveModel(ss, layers);
-        auto back = core::loadModel(ss);
-        ASSERT_EQ(back.size(), layers.size());
-        for (size_t l = 0; l < layers.size(); ++l) {
-            EXPECT_EQ(back[l].name, layers[l].name);
-            ASSERT_EQ(back[l].pieces.size(), layers[l].pieces.size());
-            for (size_t p = 0; p < layers[l].pieces.size(); ++p)
-                expectBitIdentical(layers[l].pieces[p],
-                                   back[l].pieces[p]);
-        }
-    }
-}
-
-TEST(ModelFileProperty, EveryTruncatedPrefixFailsCleanly)
-{
-    Rng rng(7);
-    std::vector<core::SeLayerRecord> layers;
-    layers.push_back({"a", {randomSeMatrix(rng)}});
-    layers.push_back({"b", {randomSeMatrix(rng), randomSeMatrix(rng)}});
-    std::stringstream ss;
-    core::saveModel(ss, layers);
-    const std::string full = ss.str();
-
-    for (size_t cut = 0; cut < full.size(); ++cut) {
-        std::istringstream damaged(full.substr(0, cut),
-                                   std::ios::binary);
-        EXPECT_THROW(core::loadModel(damaged), core::ModelFileError)
-            << "prefix of " << cut << "/" << full.size()
-            << " bytes was accepted";
-    }
-}
-
-TEST(ModelFileProperty, EverySingleBitFlipFailsCleanly)
-{
-    // The header carries the body size and an FNV-1a checksum, so NO
-    // single-bit corruption anywhere in the stream may load — not as
-    // the original bundle, not as a different one.
-    Rng rng(8);
-    std::vector<core::SeLayerRecord> layers;
-    layers.push_back({"layer", {randomSeMatrix(rng)}});
-    std::stringstream ss;
-    core::saveModel(ss, layers);
-    const std::string full = ss.str();
-
-    for (size_t byte = 0; byte < full.size(); ++byte) {
-        const int bit = (int)rng.integer(0, 7);
-        std::string damaged = full;
-        damaged[byte] = (char)(damaged[byte] ^ (1 << bit));
-        std::istringstream is(damaged, std::ios::binary);
-        EXPECT_THROW(core::loadModel(is), core::ModelFileError)
-            << "bit " << bit << " of byte " << byte
-            << " flipped and the bundle still loaded";
     }
 }
 
@@ -302,14 +215,14 @@ TEST(ModelFileProperty, GarbageStreamsNeverCrash)
         for (auto &c : junk)
             c = (char)rng.integer(0, 255);
         std::istringstream is(junk, std::ios::binary);
-        EXPECT_THROW(core::loadModel(is), core::ModelFileError);
+        EXPECT_THROW(core::loadModelBundle(is), core::ModelFileError);
     }
 }
 
-// ------------------------------------------------ v3: packed 4-bit
+// ------------------------------------------ PackedCe (CeDirect form)
 
 /**
- * A hand-built SeMatrix whose on-stream v3 layout is fully known:
+ * A hand-built SeMatrix whose v4 payload layout is fully known:
  * `rows` x 3 Ce with every row non-zero, alphabet {numLevels, expMax
  * 0} — the fixture the structural-corruption tests patch bytes of.
  */
@@ -332,264 +245,15 @@ craftedMatrix(int64_t rows, int num_levels)
     return m;
 }
 
-/** v3 header is magic + version + body size + checksum. */
-constexpr size_t kHeaderBytes = 4 + 4 + 8 + 8;
-
-/**
- * Patch one body byte of a framed bundle and fix up the header
- * checksum, so the load reaches the structural validation instead of
- * stopping at the checksum gate.
- */
-std::string
-patchBody(std::string stream, size_t body_off,
-          const std::function<char(char)> &edit)
+TEST(PackedCe, SignOnZeroNibbleRejected)
 {
-    const size_t at = kHeaderBytes + body_off;
-    EXPECT_LT(at, stream.size());
-    stream[at] = edit(stream[at]);
-    // v3 checksums are seeded with the version word.
-    const uint64_t sum =
-        fnv1a(stream.data() + kHeaderBytes,
-              stream.size() - kHeaderBytes, hashValue(3u));
-    std::memcpy(stream.data() + 16, &sum, sizeof(sum));
-    return stream;
-}
-
-/**
- * Body offset of the row mask for a single-record, single-piece v3
- * bundle whose record name is `name_len` bytes: record count (4) +
- * name (4 + len) + piece count (4) + the 27-byte piece header
- * (rows u32, rank u16, cols u16, expMax i16, numLevels u8,
- * iterations i32, reconRelError f64, nonZeroRows u32).
- */
-size_t
-maskOffset(size_t name_len)
-{
-    return 4 + (4 + name_len) + 4 + (4 + 2 + 2 + 2 + 1 + 4 + 8 + 4);
-}
-
-TEST(ModelFileV3, RandomMatricesRoundTripExactly)
-{
-    Rng rng(4321);
-    for (int trial = 0; trial < 60; ++trial) {
-        auto m = randomSeMatrix(rng);
-        std::stringstream ss;
-        core::saveModelV3(ss, {{"m", {m}}});
-        auto back = core::loadModelBundle(ss);
-        ASSERT_EQ(back.records.size(), 1u);
-        ASSERT_EQ(back.records[0].pieces.size(), 1u);
-        expectBitIdentical(m, back.records[0].pieces[0]);
-        EXPECT_TRUE(back.dense.empty());
-    }
-}
-
-TEST(ModelFileV3, OddCodeCountsAndAllZeroRowsRoundTrip)
-{
-    // Odd non-zero-code counts exercise the pad nibble; matrices of
-    // only zero rows exercise an empty nibble stream.
-    Rng rng(77);
-    for (const auto &[rows, cols] : std::vector<std::pair<
-             int64_t, int64_t>>{{1, 1}, {3, 3}, {5, 1}, {7, 3},
-                                {9, 5}, {2, 2}}) {
-        core::SeMatrix m;
-        m.alphabet.expMax = 2;
-        m.alphabet.numLevels = 7;
-        m.ce = Tensor({rows, cols});
-        for (int64_t i = 0; i < m.ce.size(); ++i)
-            if (rng.chance(0.5)) {
-                const int exp = (int)rng.integer(
-                    m.alphabet.expMin(), m.alphabet.expMax);
-                m.ce[i] = rng.chance(0.5) ? std::ldexp(1.0f, exp)
-                                          : -std::ldexp(1.0f, exp);
-            }
-        m.basis = randn({cols, 3}, rng);
-        std::stringstream ss;
-        core::saveModelV3(ss, {{"m", {m}}});
-        auto back = core::loadModelBundle(ss);
-        expectBitIdentical(m, back.records[0].pieces[0]);
-
-        // The packed form itself round-trips exactly too.
-        const auto packed = core::packCe(m.ce, m.alphabet);
-        const Tensor unpacked = core::unpackCe(packed);
-        EXPECT_EQ(std::memcmp(unpacked.data(), m.ce.data(),
-                              (size_t)m.ce.size() * sizeof(float)),
-                  0)
-            << rows << "x" << cols;
-    }
-}
-
-TEST(ModelFileV3, DenseResidualRoundTripsExactly)
-{
-    Rng rng(88);
-    std::vector<core::DenseTensor> dense;
-    dense.push_back({"0:bn:gamma", randn({8}, rng)});
-    dense.push_back({"0:bn:beta", randn({8}, rng)});
-    dense.push_back({"1:conv:weight", randn({4, 3, 3, 3}, rng)});
-    std::stringstream ss;
-    core::saveModelV3(ss, {{"layer", {makeMatrix(31)}}}, dense);
-    auto back = core::loadModelBundle(ss);
-    ASSERT_EQ(back.dense.size(), dense.size());
-    for (size_t i = 0; i < dense.size(); ++i) {
-        EXPECT_EQ(back.dense[i].name, dense[i].name);
-        ASSERT_EQ(back.dense[i].value.shape(),
-                  dense[i].value.shape());
-        EXPECT_EQ(std::memcmp(
-                      back.dense[i].value.data(),
-                      dense[i].value.data(),
-                      (size_t)dense[i].value.size() * sizeof(float)),
-                  0);
-    }
-}
-
-TEST(ModelFileV3, RecordsOnlyViewRefusesToDropDenseState)
-{
-    std::stringstream ss;
-    core::saveModelV3(ss, {{"layer", {makeMatrix(32)}}},
-                      {{"0:bn:gamma", Tensor({4}, 1.0f)}});
-    EXPECT_THROW(core::loadModel(ss), core::ModelFileError);
-
-    // Without a dense section the records-only view stays usable.
-    std::stringstream plain;
-    core::saveModelV3(plain, {{"layer", {makeMatrix(32)}}});
-    EXPECT_EQ(core::loadModel(plain).size(), 1u);
-}
-
-TEST(ModelFileV3, V2BundlesStillLoadThroughTheBundleApi)
-{
-    std::vector<core::SeLayerRecord> layers;
-    layers.push_back({"conv1", {makeMatrix(33)}});
-    std::stringstream ss;
-    core::saveModel(ss, layers);
-    auto back = core::loadModelBundle(ss);
-    ASSERT_EQ(back.records.size(), 1u);
-    EXPECT_TRUE(back.dense.empty());
-    expectBitIdentical(layers[0].pieces[0],
-                       back.records[0].pieces[0]);
-}
-
-TEST(ModelFileV3, PacksSmallerThanV2)
-{
-    // The point of v3: true 4-bit codes + zero-row elision. On a
-    // sparse matrix the coefficient payload must shrink by > 2x.
-    auto m = makeMatrix(34, 0.5);
-    std::stringstream v2, v3;
-    core::saveModel(v2, {{"m", {m}}});
-    core::saveModelV3(v3, {{"m", {m}}});
-    EXPECT_LT(v3.str().size(), v2.str().size());
-}
-
-TEST(ModelFileV3, WideAlphabetsRefuseToPack)
-{
-    core::SeMatrix m = craftedMatrix(4, 7);
-    m.alphabet.numLevels = 9;  // coefBits > 4 territory
-    std::stringstream ss;
-    EXPECT_THROW(core::saveModelV3(ss, {{"m", {m}}}),
-                 core::ModelFileError);
-    EXPECT_THROW(core::packCe(m.ce, m.alphabet),
-                 core::ModelFileError);
-}
-
-TEST(ModelFileV3Property, EveryTruncatedPrefixFailsCleanly)
-{
-    Rng rng(17);
-    std::vector<core::SeLayerRecord> layers;
-    layers.push_back({"a", {randomSeMatrix(rng)}});
-    layers.push_back(
-        {"b", {randomSeMatrix(rng), randomSeMatrix(rng)}});
-    std::stringstream ss;
-    core::saveModelV3(ss, layers,
-                      {{"2:bn:gamma", Tensor({6}, 1.0f)}});
-    const std::string full = ss.str();
-
-    for (size_t cut = 0; cut < full.size(); ++cut) {
-        std::istringstream damaged(full.substr(0, cut),
-                                   std::ios::binary);
-        EXPECT_THROW(core::loadModelBundle(damaged),
-                     core::ModelFileError)
-            << "prefix of " << cut << "/" << full.size()
-            << " bytes was accepted";
-    }
-}
-
-TEST(ModelFileV3Property, EverySingleBitFlipFailsCleanly)
-{
-    Rng rng(18);
-    std::vector<core::SeLayerRecord> layers;
-    layers.push_back({"layer", {randomSeMatrix(rng)}});
-    std::stringstream ss;
-    core::saveModelV3(ss, layers,
-                      {{"1:conv:bias", Tensor({3}, 0.5f)}});
-    const std::string full = ss.str();
-
-    for (size_t byte = 0; byte < full.size(); ++byte) {
-        const int bit = (int)rng.integer(0, 7);
-        std::string damaged = full;
-        damaged[byte] = (char)(damaged[byte] ^ (1 << bit));
-        std::istringstream is(damaged, std::ios::binary);
-        EXPECT_THROW(core::loadModelBundle(is), core::ModelFileError)
-            << "bit " << bit << " of byte " << byte
-            << " flipped and the bundle still loaded";
-    }
-}
-
-TEST(ModelFileV3Property, StructuralCorruptionBehindAValidChecksum)
-{
-    // The deep validation the bit-flip wall cannot reach (it stops at
-    // the checksum): re-checksummed streams with targeted damage.
+    // Nibble 0x8 (sign bit with exponent code 0) is not a legal code:
+    // unpacking it must throw, not decode below the alphabet.
     const core::SeMatrix m = craftedMatrix(3, 3);
-    std::stringstream ss;
-    core::saveModelV3(ss, {{"m", {m}}});
-    const std::string good = ss.str();
-    {
-        std::istringstream is(good, std::ios::binary);
-        EXPECT_NO_THROW(core::loadModelBundle(is));  // fixture sane
-    }
-    const size_t mask_off = maskOffset(1);  // name "m"
-    const size_t nib_off = mask_off + 1;    // 3 rows -> 1 mask byte
-
-    struct Case
-    {
-        const char *what;
-        size_t off;
-        std::function<char(char)> edit;
-    };
-    const std::vector<Case> cases{
-        // 0x80-style invalid nibble: sign bit with exponent code 0.
-        {"sign-on-zero nibble", nib_off,
-         [](char c) { return (char)((c & 0xF0) | 0x8); }},
-        // Exponent code above the stored 3-level alphabet.
-        {"code outside alphabet", nib_off,
-         [](char c) { return (char)((c & 0xF0) | 0x5); }},
-        // Mask claims a row past the last one (tail bits dirty).
-        {"mask tail bit", mask_off,
-         [](char c) { return (char)(c | 0x10); }},
-        // Mask population no longer matches the stored count.
-        {"mask popcount drift", mask_off,
-         [](char c) { return (char)(c & ~0x1); }},
-    };
-    for (const Case &c : cases) {
-        const std::string bad = patchBody(good, c.off, c.edit);
-        std::istringstream is(bad, std::ios::binary);
-        EXPECT_THROW(core::loadModelBundle(is), core::ModelFileError)
-            << c.what;
-    }
-
-    // A flagged row whose codes all decode to zero (nibbles zeroed)
-    // must be rejected, not silently re-sparsified.
-    std::string zeroed = good;
-    zeroed = patchBody(zeroed, nib_off, [](char) { return 0; });
-    zeroed = patchBody(zeroed, nib_off + 1,
-                       [](char c) { return (char)(c & 0xF0); });
-    std::istringstream is(zeroed, std::ios::binary);
-    EXPECT_THROW(core::loadModelBundle(is), core::ModelFileError);
-
-    // And the pad nibble of an odd code count must stay zero: 3x3
-    // fully dense = 9 codes = 4.5 bytes.
-    const size_t last_nib = nib_off + 4;
-    const std::string dirty_pad = patchBody(
-        good, last_nib, [](char c) { return (char)(c | 0x30); });
-    std::istringstream is2(dirty_pad, std::ios::binary);
-    EXPECT_THROW(core::loadModelBundle(is2), core::ModelFileError);
+    core::PackedCe p = core::packCe(m.ce, m.alphabet);
+    ASSERT_NO_THROW(core::unpackCe(p));
+    p.nibbles[0] = (uint8_t)((p.nibbles[0] & 0xF0) | 0x8);
+    EXPECT_THROW(core::unpackCe(p), core::ModelFileError);
 }
 
 // ------------------------------------------------ nn <-> record glue
@@ -618,40 +282,6 @@ collectWeights(nn::Sequential &net)
             ws.push_back(&f->weightTensor());
     });
     return ws;
-}
-
-TEST(ModelRecords, CompressSaveLoadInstallRoundTrip)
-{
-    core::SeOptions se_opts;
-    se_opts.vectorThreshold = 0.01;
-    core::ApplyOptions apply_opts;
-
-    // Compress net A in place, keeping the shippable records.
-    auto a = makeCnn(21);
-    auto compressed = core::compressToRecords(*a, se_opts, apply_opts);
-    EXPECT_FALSE(compressed.records.empty());
-    EXPECT_GT(compressed.report.compressionRate(), 1.0);
-
-    // Ship through the binary format.
-    std::stringstream ss;
-    core::saveModel(ss, compressed.records);
-    auto shipped = core::loadModel(ss);
-
-    // Install into a fresh instance of the same architecture: the
-    // dense weights must equal net A's bit for bit.
-    auto b = makeCnn(21);
-    auto report =
-        core::installLayerRecords(*b, shipped, se_opts, apply_opts);
-
-    auto wa = collectWeights(*a), wb = collectWeights(*b);
-    ASSERT_EQ(wa.size(), wb.size());
-    for (size_t i = 0; i < wa.size(); ++i)
-        EXPECT_EQ(std::memcmp(wa[i]->data(), wb[i]->data(),
-                              (size_t)wa[i]->size() * sizeof(float)),
-                  0)
-            << "weight " << i;
-    EXPECT_EQ(report.compressedBits(),
-              compressed.report.compressedBits());
 }
 
 TEST(ModelRecords, InstallRejectsWrongArchitecture)
@@ -750,7 +380,7 @@ expectNetsBitIdentical(nn::Sequential &a, nn::Sequential &b)
     }
 }
 
-TEST(ModelBundleV3, PrunedModelRoundTripsWithNoOutOfBandRestore)
+TEST(ModelBundleV4, PrunedModelRoundTripsWithNoOutOfBandRestore)
 {
     core::SeOptions se_opts;
     se_opts.vectorThreshold = 0.01;
@@ -761,12 +391,13 @@ TEST(ModelBundleV3, PrunedModelRoundTripsWithNoOutOfBandRestore)
     perturbBn(*a, 42);
     auto compressed = core::compressToRecords(*a, se_opts, apply_opts);
     EXPECT_FALSE(compressed.dense.empty());
+    core::quantizeBasisAtCompress(*a, compressed, se_opts, apply_opts);
 
-    // Ship as v3 and install into a PRISTINE factory net — crucially,
+    // Ship as v4 and install into a PRISTINE factory net — crucially,
     // one that never saw perturbBn, so nothing about the pruned BN
     // state can leak in out of band.
     std::stringstream ss;
-    core::saveModelV3(ss, compressed.records, compressed.dense);
+    core::saveModelV4(ss, compressed.records, compressed.dense);
     auto bundle = core::loadModelBundle(ss);
     auto b = makePrunableCnn(41);
     core::installModelBundle(*b, bundle, se_opts, apply_opts);
@@ -781,7 +412,7 @@ TEST(ModelBundleV3, PrunedModelRoundTripsWithNoOutOfBandRestore)
               0);
 }
 
-TEST(ModelBundleV3Property, RandomPrunedModelsRoundTrip)
+TEST(ModelBundleV4Property, RandomPrunedModelsRoundTrip)
 {
     for (uint64_t seed = 60; seed < 66; ++seed) {
         core::SeOptions se_opts;
@@ -793,8 +424,10 @@ TEST(ModelBundleV3Property, RandomPrunedModelsRoundTrip)
         perturbBn(*a, seed * 31 + 1);
         auto compressed =
             core::compressToRecords(*a, se_opts, apply_opts);
+        core::quantizeBasisAtCompress(*a, compressed, se_opts,
+                                      apply_opts);
         std::stringstream ss;
-        core::saveModelV3(ss, compressed.records, compressed.dense);
+        core::saveModelV4(ss, compressed.records, compressed.dense);
         auto bundle = core::loadModelBundle(ss);
         auto b = makePrunableCnn(seed);
         core::installModelBundle(*b, bundle, se_opts, apply_opts);
@@ -810,7 +443,7 @@ TEST(ModelBundleV3Property, RandomPrunedModelsRoundTrip)
     }
 }
 
-TEST(ModelBundleV3, DenseStateInstallRejectsDrift)
+TEST(ModelBundle, DenseStateInstallRejectsDrift)
 {
     core::SeOptions se_opts;
     se_opts.vectorThreshold = 0.01;
@@ -1016,6 +649,85 @@ TEST(ModelFileV4, EdgeShapesRoundTrip)
                            back.records[l].pieces[0]);
 }
 
+TEST(ModelFileV4, OddCodeCountsAndAllZeroRowsRoundTrip)
+{
+    // Odd non-zero-code counts exercise the pad bits; matrices of
+    // only zero rows exercise an empty bitstream. The same matrices
+    // round-trip through the in-memory PackedCe form (pad nibble,
+    // empty nibble stream) exactly too.
+    Rng rng(77);
+    for (const auto &[rows, cols] : std::vector<std::pair<
+             int64_t, int64_t>>{{1, 1}, {3, 3}, {5, 1}, {7, 3},
+                                {9, 5}, {2, 2}}) {
+        core::SeMatrix m;
+        m.alphabet.expMax = 2;
+        m.alphabet.numLevels = 7;
+        m.ce = Tensor({rows, cols});
+        for (int64_t i = 0; i < m.ce.size(); ++i)
+            if (rng.chance(0.5)) {
+                const int exp = (int)rng.integer(
+                    m.alphabet.expMin(), m.alphabet.expMax);
+                m.ce[i] = rng.chance(0.5) ? std::ldexp(1.0f, exp)
+                                          : -std::ldexp(1.0f, exp);
+            }
+        m.basis = randn({cols, 3}, rng);
+        std::vector<core::SeLayerRecord> layers{{"m", {m}}};
+        core::quantizeBasisAtCompress(layers);
+        expectBitIdentical(
+            layers[0].pieces[0],
+            loadFromString(saveV4String(layers)).records[0].pieces[0]);
+
+        const auto packed = core::packCe(m.ce, m.alphabet);
+        const Tensor unpacked = core::unpackCe(packed);
+        EXPECT_EQ(std::memcmp(unpacked.data(), m.ce.data(),
+                              (size_t)m.ce.size() * sizeof(float)),
+                  0)
+            << rows << "x" << cols;
+    }
+}
+
+TEST(ModelFileV4, DenseResidualRoundTripsExactly)
+{
+    Rng rng(88);
+    std::vector<core::DenseTensor> dense;
+    dense.push_back({"0:bn:gamma", randn({8}, rng)});
+    dense.push_back({"0:bn:beta", randn({8}, rng)});
+    dense.push_back({"1:conv:weight", randn({4, 3, 3, 3}, rng)});
+    std::vector<core::SeLayerRecord> layers{{"layer", {makeMatrix(31)}}};
+    core::quantizeBasisAtCompress(layers);
+    const core::ModelBundle back =
+        loadFromString(saveV4String(layers, dense));
+    ASSERT_EQ(back.dense.size(), dense.size());
+    for (size_t i = 0; i < dense.size(); ++i) {
+        EXPECT_EQ(back.dense[i].name, dense[i].name);
+        ASSERT_EQ(back.dense[i].value.shape(),
+                  dense[i].value.shape());
+        EXPECT_EQ(std::memcmp(
+                      back.dense[i].value.data(),
+                      dense[i].value.data(),
+                      (size_t)dense[i].value.size() * sizeof(float)),
+                  0);
+    }
+}
+
+TEST(ModelFileV4, WideAlphabetsRefuseToPack)
+{
+    // coefBits > 4: neither a bundle nor the 4-bit PackedCe can carry
+    // a 9-level alphabet, and each refusal names the constraint.
+    std::vector<core::SeLayerRecord> layers{
+        {"m", {craftedMatrix(4, 7)}}};
+    core::quantizeBasisAtCompress(layers);
+    core::SeMatrix &m = layers[0].pieces[0];
+    m.alphabet.numLevels = 9;
+    std::stringstream ss;
+    expectModelFileError([&] { core::saveModelV4(ss, layers); },
+                         "alphabet has 9 levels; bundles carry at most "
+                         "7 (coefBits <= 4)");
+    expectModelFileError([&] { core::packCe(m.ce, m.alphabet); },
+                         "alphabet has 9 levels; a 4-bit packed code "
+                         "carries at most 7 (coefBits <= 4)");
+}
+
 TEST(ModelFileV4, SaveRequiresAQuantizedBasis)
 {
     // 0.3 is not representable on the {scale = 1/127} int8 grid that
@@ -1031,7 +743,9 @@ TEST(ModelFileV4, SaveRequiresAQuantizedBasis)
     m.basis[2] = 0.7f;
     std::vector<core::SeLayerRecord> layers{{"m", {m}}};
     std::stringstream ss;
-    EXPECT_THROW(core::saveModelV4(ss, layers), core::ModelFileError);
+    expectModelFileError([&] { core::saveModelV4(ss, layers); },
+                         "basis is not at an 8-bit fixed point; run "
+                         "quantizeBasisAtCompress() first");
 
     // quantizeBasisAtCompress is exactly the missing step.
     core::quantizeBasisAtCompress(layers);
@@ -1066,16 +780,16 @@ TEST(ModelFileV4, QuantizeBasisAtCompressReachesAFixedPoint)
         }
 }
 
-TEST(ModelFileV4, PacksSmallerThanV3)
+TEST(ModelFileV4, PacksSmallerThanFixedNibbles)
 {
     // At a realistic shape (hundreds of rows, a 2-bit-occupied
     // alphabet, a float basis worth shrinking to int8) the adaptive
-    // widths + int8 basis beat v3's fixed nibbles + f32 basis even
-    // after the region-alignment and directory overhead.
+    // widths + int8 basis beat fixed 4-bit nibbles + an f32 basis
+    // even after the header, meta, alignment and directory overhead.
     Rng rng(63);
     core::SeMatrix m;
     m.alphabet.expMax = 0;
-    m.alphabet.numLevels = 3;  // codes fit 2 bits vs v3's fixed 4
+    m.alphabet.numLevels = 3;  // codes fit 2 bits vs a fixed 4
     m.ce = Tensor({512, 8});
     for (int64_t i = 0; i < m.ce.size(); ++i) {
         if (rng.chance(0.4))
@@ -1089,10 +803,13 @@ TEST(ModelFileV4, PacksSmallerThanV3)
     std::vector<core::SeLayerRecord> layers{{"big", {m}}};
     core::quantizeBasisAtCompress(layers);
 
-    std::stringstream v3;
-    core::saveModelV3(v3, layers);
+    const core::SeMatrix &q = layers[0].pieces[0];
+    const core::PackedCe packed = core::packCe(q.ce, q.alphabet);
+    const size_t fixed_bytes = packed.rowMask.size() +
+                               packed.nibbles.size() +
+                               (size_t)q.basis.size() * sizeof(float);
     const std::string v4 = saveV4String(layers);
-    EXPECT_LT(v4.size(), v3.str().size());
+    EXPECT_LT(v4.size(), fixed_bytes);
 }
 
 TEST(ModelFileV4, FileRoundTripOnDisk)
@@ -1213,6 +930,24 @@ TEST(ModelFileV4Property, StructuralCorruptionBehindAValidChecksum)
         zb_good, 0, kV4ScaleOff + 3, [](char) { return (char)0x40; });
     std::istringstream is(zb_bad);
     EXPECT_THROW(core::loadModelBundle(is), core::ModelFileError);
+
+    // A row the mask flags non-zero must carry a non-zero code, or
+    // save/load would not round-trip. 2x1 Ce, 1-bit codes: row 0 is
+    // code 1 + sign 0, row 1 is zero and unflagged. Flagging row 1
+    // makes it read the stream's zero pad bit as its only code.
+    core::SeMatrix zr;
+    zr.alphabet.expMax = 0;
+    zr.alphabet.numLevels = 1;
+    zr.ce = Tensor({2, 1});
+    zr.ce.at(0, 0) = 1.0f;
+    zr.basis = Tensor({1, 2}, 0.5f);
+    std::vector<core::SeLayerRecord> zr_layers{{"z", {zr}}};
+    core::quantizeBasisAtCompress(zr_layers);
+    const std::string zr_bad =
+        patchV4Piece(saveV4String(zr_layers), 0, kV4MaskOff,
+                     [](char c) { return (char)(c | 0x02); });
+    expectModelFileError([&] { loadFromString(zr_bad); },
+                         "all-zero row flagged non-zero");
 }
 
 TEST(ModelFileV4, ErrorsNameThePieceAndOffset)
@@ -1247,26 +982,25 @@ TEST(ModelFileV4, ErrorsNameThePieceAndOffset)
     }
 }
 
-TEST(ModelFileV3, ErrorsNameTheRecordAndPiece)
+TEST(ModelFileV4, StructuralErrorsNameTheRecordAndPiece)
 {
-    // The v3 loader wraps per-piece failures the same way: corrupt a
-    // nibble (sign bit on a zero code) behind a fixed-up checksum and
-    // the message must say which record and piece it sat in.
+    // Damage behind fixed-up checksums fails the structural checks,
+    // not the checksum gate; the message must still say which record
+    // and piece it sat in, and why.
     std::vector<core::SeLayerRecord> layers{
         {"m", {craftedMatrix(3, 3)}}};
-    std::stringstream ss;
-    core::saveModelV3(ss, layers);
-    const std::string bad =
-        patchBody(ss.str(), maskOffset(1) + 1,
-                  [](char) { return (char)0x88; });
-    try {
-        loadFromString(bad);
-        FAIL() << "corrupt nibble must not load";
-    } catch (const core::ModelFileError &e) {
-        const std::string msg = e.what();
-        EXPECT_NE(msg.find("record 'm' piece 0"), std::string::npos)
-            << msg;
-    }
+    core::quantizeBasisAtCompress(layers);
+    const std::string good = saveV4String(layers);
+    namespace v4 = core::modelv4;
+    const v4::Meta meta = v4::parseMeta(
+        reinterpret_cast<const uint8_t *>(good.data()), good.size());
+    const std::string bad = patchV4Piece(
+        good, 0, kV4MaskOff, [](char c) { return (char)(c | 0x08); });
+    expectModelFileError(
+        [&] { loadFromString(bad); },
+        "record 'm': piece 0 at offset " +
+            std::to_string(meta.directory[0].offset) +
+            ": row mask has bits past the last row");
 }
 
 // ==================================================== StreamedModel
@@ -1395,23 +1129,43 @@ TEST(StreamedModelTest, TruncatedFileFailsAtOpen)
     }
 }
 
-TEST(StreamedModelTest, RefusesNonStreamingFormats)
+TEST(ModelFileV4, OtherVersionWordsAreRefusedByName)
 {
+    // Hand-forged headers: a real v4 bundle with its version word
+    // patched, and a bare 24-byte legacy-style frame (magic, version,
+    // u64 body size, u64 checksum) around an 8-byte body. Every entry
+    // point refuses each one with an error naming the version.
     Rng rng(75);
     std::vector<core::SeLayerRecord> layers{
         {"a", {randomSeMatrix(rng)}}};
-    std::stringstream v3;
-    core::saveModelV3(v3, layers);
+    core::quantizeBasisAtCompress(layers);
+    const std::string v4 = saveV4String(layers);
     const std::string path = "/tmp/se_model_v4_wrongver.sexm";
-    writeFile(path, v3.str());
-    try {
-        core::StreamedModel sm(path);
-        FAIL() << "a v3 file is not streamable";
-    } catch (const core::ModelFileError &e) {
-        EXPECT_NE(std::string(e.what())
-                      .find("not a v4 streaming bundle"),
-                  std::string::npos)
-            << e.what();
+
+    for (const uint32_t version : {2u, 3u, 5u}) {
+        std::string patched = v4;
+        std::memcpy(&patched[4], &version, sizeof(version));
+        std::string legacy(24 + 8, '\0');
+        const uint32_t magic = 0x5345584Du;
+        const uint64_t body = 8;
+        std::memcpy(&legacy[0], &magic, sizeof(magic));
+        std::memcpy(&legacy[4], &version, sizeof(version));
+        std::memcpy(&legacy[8], &body, sizeof(body));
+
+        const std::string want =
+            "model file version " + std::to_string(version);
+        for (const std::string &bytes : {patched, legacy}) {
+            SCOPED_TRACE(bytes.size() == v4.size() ? "patched v4"
+                                                   : "legacy frame");
+            expectModelFileError([&] { loadFromString(bytes); }, want);
+            writeFile(path, bytes);
+            expectModelFileError(
+                [&] { core::loadModelBundleFile(path); }, want);
+            expectModelFileError([&] { core::StreamedModel sm(path); },
+                                 want);
+            expectModelFileError(
+                [&] { core::StreamedModel sm(path, {true}); }, want);
+        }
     }
 }
 
@@ -1471,6 +1225,8 @@ TEST(ModelRecordsV4, CompressQuantizeSaveLoadInstallRoundTrip)
     // the compress-time step that makes the v4 file exact.
     auto a = makeCnn(31);
     auto compressed = core::compressToRecords(*a, se_opts, apply_opts);
+    EXPECT_FALSE(compressed.records.empty());
+    EXPECT_GT(compressed.report.compressionRate(), 1.0);
     core::quantizeBasisAtCompress(*a, compressed, se_opts, apply_opts);
 
     auto bundle = compressed.bundle();
@@ -1479,7 +1235,10 @@ TEST(ModelRecordsV4, CompressQuantizeSaveLoadInstallRoundTrip)
     const core::ModelBundle shipped = loadFromString(ss.str());
 
     auto b = makeCnn(31);
-    core::installModelBundle(*b, shipped, se_opts, apply_opts);
+    const auto report =
+        core::installModelBundle(*b, shipped, se_opts, apply_opts);
+    EXPECT_EQ(report.compressedBits(),
+              compressed.report.compressedBits());
     auto wa = collectWeights(*a), wb = collectWeights(*b);
     ASSERT_EQ(wa.size(), wb.size());
     for (size_t i = 0; i < wa.size(); ++i)

@@ -63,7 +63,6 @@ TEST(RuntimeOptions, FromEnvParsesValidKnobs)
     ScopedEnv q("SE_SERVE_QUEUE_CAP", "128");
     ScopedEnv d("SE_SERVE_DEADLINE_MS", "2.5");
     ScopedEnv w("SE_SERVE_WEIGHT_SOURCE", "ce");
-    ScopedEnv f("SE_MODEL_FORMAT", "2");
     const auto ro = runtime::RuntimeOptions::fromEnv();
     EXPECT_EQ(ro.threads, 3);
     EXPECT_EQ(kernels::threadsFromEnv(), 3);
@@ -71,14 +70,6 @@ TEST(RuntimeOptions, FromEnvParsesValidKnobs)
     EXPECT_DOUBLE_EQ(ro.serveDeadlineMs, 2.5);
     EXPECT_EQ(ro.serveWeightSource,
               runtime::ServeWeightSource::CeDirect);
-    EXPECT_EQ(ro.modelFormat, 2);
-}
-
-TEST(RuntimeOptions, FromEnvParsesStreamingKnobs)
-{
-    ScopedEnv f("SE_MODEL_FORMAT", "4");
-    const auto ro = runtime::RuntimeOptions::fromEnv();
-    EXPECT_EQ(ro.modelFormat, 4);
 }
 
 TEST(RuntimeOptions, FromEnvRejectsMalformedValues)
@@ -97,9 +88,6 @@ TEST(RuntimeOptions, FromEnvRejectsMalformedValues)
         {"SE_SERVE_DEADLINE_MS", "1.5ms"},
         {"SE_SERVE_DEADLINE_MS", "nan"},
         {"SE_SERVE_WEIGHT_SOURCE", "quantized"},
-        {"SE_MODEL_FORMAT", "1"},
-        {"SE_MODEL_FORMAT", "5"},
-        {"SE_MODEL_FORMAT", "v3"},
         {"SE_KERNEL_ISA", "avx512"},
         {"SE_KERNEL_ISA", "fast"},
         {"SE_KERNEL_ISA", "AVX2"},  // case-sensitive like the others
@@ -156,12 +144,11 @@ TEST(RuntimeOptions, FromEnvDefaultsWithoutKnobs)
     std::vector<std::unique_ptr<ScopedEnv>> clear;
     for (const char *name :
          {"SE_SERVE_QUEUE_CAP", "SE_SERVE_DEADLINE_MS",
-          "SE_SERVE_WEIGHT_SOURCE", "SE_MODEL_FORMAT"}) {
+          "SE_SERVE_WEIGHT_SOURCE"}) {
         clear.push_back(std::make_unique<ScopedEnv>(name, "0"));
         ::unsetenv(name);  // ScopedEnv restores any prior value
     }
     const auto ro = runtime::RuntimeOptions::fromEnv();
-    EXPECT_EQ(ro.modelFormat, 3);
     EXPECT_EQ(ro.serveWeightSource,
               runtime::ServeWeightSource::Dense);
     EXPECT_EQ(ro.serveQueueCap, 0u);

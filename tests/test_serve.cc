@@ -794,11 +794,11 @@ TEST(ServeFront, QuantizedEngineABsAgainstFloatEngineOfSameBundle)
     EXPECT_EQ(front.stats("ce4").requests, (uint64_t)n);
 }
 
-TEST(ServeFront, PrunedV3BundleServesWithNoOutOfBandRestore)
+TEST(ServeFront, PrunedV4BundleServesWithNoOutOfBandRestore)
 {
-    // Compress WITH channel pruning, ship as v3, reload, and serve
+    // Compress WITH channel pruning, ship as v4, reload, and serve
     // through the front from the bundle alone: the reference is the
-    // compression-time net itself.
+    // compression-time net itself (bases pinned to the int8 grid).
     core::SeOptions se_opts;
     se_opts.vectorThreshold = 0.01;
     core::ApplyOptions apply_opts;
@@ -821,9 +821,11 @@ TEST(ServeFront, PrunedV3BundleServesWithNoOutOfBandRestore)
     auto compressed =
         core::compressToRecords(*reference, se_opts, apply_opts);
     ASSERT_FALSE(compressed.dense.empty());
+    core::quantizeBasisAtCompress(*reference, compressed, se_opts,
+                                  apply_opts);
 
     std::stringstream ss;
-    core::saveModelV3(ss, compressed.records, compressed.dense);
+    core::saveModelV4(ss, compressed.records, compressed.dense);
     auto bundle = core::loadModelBundle(ss);
 
     serve::ModelRegistry reg;
@@ -869,7 +871,7 @@ TEST(ServeFront, PrunedV3BundleServesWithNoOutOfBandRestore)
 
 TEST(InferenceSession, DenseStateInstallRejectsWrongFactory)
 {
-    // A v3 dense residual bound to a structurally different factory
+    // A dense residual bound to a structurally different factory
     // must throw at construction, never serve garbage.
     core::SeOptions se_opts;
     se_opts.vectorThreshold = 0.01;
