@@ -15,10 +15,10 @@
  *  - model file: v4 bytes of the bundle against the fp32 bytes of
  *    the weights it stores, reload bit-identity, and a lazy mmap
  *    cold start against an eager one;
- *  - quantized serving: a CeDirect (packed-code) engine A/B'd
- *    against the Dense engine of the same bundle behind one
- *    ServeFront, with per-tenant latency stats, cold-start
- *    (pack + first rebuild) cost, and a bit-identity gate;
+ *  - quantized serving: the packed-code (CeDirect) engine behind a
+ *    ServeFront, with latency stats, cold-start (pack + first
+ *    rebuild) cost, and a bit-identity gate against the
+ *    compression-time net;
  *  - multi-model serving: two zoo models behind one ServeFront, each
  *    response checked bit-identical to its single-model session;
  *  - hot reload: 50 reloadModel() generation flips under in-flight
@@ -41,9 +41,9 @@
  * on top of the always-gated bit-identity/warm<cold checks — the
  * Release CI job runs it on every PR.
  *
- * SE_SERVE_QUEUE_CAP / SE_SERVE_DEADLINE_MS / SE_SERVE_WEIGHT_SOURCE
- * (via RuntimeOptions::fromEnv) override the admission cap, deadline
- * and serving weight source used by the respective sections.
+ * SE_SERVE_QUEUE_CAP / SE_SERVE_DEADLINE_MS (via
+ * RuntimeOptions::fromEnv) override the admission cap and deadline
+ * used by the respective sections.
  *
  * SE_FAILPOINTS=<spec> switches the whole run into a fault drill:
  * the perf sections are skipped (faults would corrupt their timings)
@@ -199,13 +199,6 @@ main(int argc, char **argv)
     auto dense =
         std::make_shared<const std::vector<core::DenseTensor>>(
             std::move(compressed.dense));
-    // SE_SERVE_WEIGHT_SOURCE selects what the serving sections
-    // rebuild from; responses are bit-identical either way.
-    const serve::WeightSource weight_source =
-        run_opts.serveWeightSource ==
-                runtime::ServeWeightSource::CeDirect
-            ? serve::WeightSource::CeDirect
-            : serve::WeightSource::Dense;
     auto traffic = makeTraffic(requests);
 
     std::printf("{\n");
@@ -216,10 +209,6 @@ main(int argc, char **argv)
     std::printf("  \"decomposed_layers\": %zu,\n", records->size());
     std::printf("  \"compression_rate\": %.2f,\n",
                 compressed.report.compressionRate());
-    std::printf("  \"weight_source\": \"%s\",\n",
-                weight_source == serve::WeightSource::CeDirect
-                    ? "ce"
-                    : "dense");
 
     // --- failpoint drill (replaces the perf run when armed) ---------
     // With SE_FAILPOINTS armed, wall-clock numbers are meaningless (a
@@ -271,7 +260,6 @@ main(int argc, char **argv)
         std::vector<Tensor> resident_ref;
         {
             serve::SessionOptions so;
-            so.weightSource = weight_source;
             so.denseState = dense;
             serve::InferenceSession session(makeSubject(), records,
                                             se_opts, apply_opts, so);
@@ -297,8 +285,7 @@ main(int argc, char **argv)
                 reg.add("resident",
                         serve::ModelEntry{records,
                                           [] { return makeSubject(); },
-                                          se_opts, apply_opts, dense,
-                                          weight_source});
+                                          se_opts, apply_opts, dense});
                 reg.add("victim", openVictim());
                 front = std::make_unique<serve::ServeFront>(reg,
                                                             fopts);
@@ -583,7 +570,6 @@ main(int argc, char **argv)
         serve::SessionOptions so;
         so.rebuildPerCall = true;
         so.cacheRebuiltWeights = false;
-        so.weightSource = weight_source;
         so.denseState = dense;
         serve::InferenceSession session(makeSubject(), records,
                                         se_opts, apply_opts, so);
@@ -622,7 +608,6 @@ main(int argc, char **argv)
             opts.maxBatch = 16;
             opts.session.rebuildPerCall = true;
             opts.session.cacheRebuiltWeights = false;
-            opts.session.weightSource = weight_source;
             opts.session.denseState = dense;
             serve::ServeEngine engine(records, factory, se_opts,
                                       apply_opts, opts);
@@ -699,25 +684,22 @@ main(int argc, char **argv)
             1000.0 * requests / batched_ms);
     }
 
-    // --- quantized serving: CeDirect vs Dense A/B -------------------
-    // One bundle, two ServeFront tenants — the float engine and the
-    // 4-bit-code engine. Responses must be bit-identical (decode
-    // order is preserved end to end: nibble decode is exact and the
-    // panel split keeps every element's accumulation order, so no
-    // tolerance applies); the numbers show what serving at the
-    // stored datapath width costs, including the CeDirect cold-start
-    // (pack + first rebuild-all).
-    bool ce_identical;
+    // --- quantized serving: the CeDirect datapath ------------------
+    // One ServeFront tenant rebuilding every batch from the packed
+    // 4-bit codes. Responses must be bit-identical to the
+    // compression-time net (nibble decode is exact and gemmCeB keeps
+    // every element's accumulation order, so no tolerance applies);
+    // the numbers show what serving at the stored datapath width
+    // costs, including its cold start (pack + first rebuild-all).
+    bool ce_identical = true;
     {
         const int per_mode = std::min(requests, 48);
 
-        // Cold-start: one-time pack cost plus the first cold
-        // rebuild-all, per weight source.
-        double mode_rebuild_ms[2], mode_pack_ms[2];
-        for (int v = 0; v < 2; ++v) {
+        // Cold start: one-time pack cost plus the first cold
+        // rebuild-all.
+        double cold_rebuild_ms, pack_ms;
+        {
             serve::SessionOptions so;
-            so.weightSource = v ? serve::WeightSource::CeDirect
-                                : serve::WeightSource::Dense;
             so.denseState = dense;
             so.cacheRebuiltWeights = false;
             serve::InferenceSession session(makeSubject(), records,
@@ -726,18 +708,12 @@ main(int argc, char **argv)
                 {1, traffic[0].dim(0), traffic[0].dim(1),
                  traffic[0].dim(2)});
             session.forward(probe);  // the cold rebuild-all
-            mode_rebuild_ms[v] = session.stats().rebuildMs;
-            mode_pack_ms[v] = session.stats().packMs;
+            cold_rebuild_ms = session.stats().rebuildMs;
+            pack_ms = session.stats().packMs;
         }
 
         serve::ModelRegistry reg;
-        serve::ModelEntry dense_entry{records, factory, se_opts,
-                                      apply_opts, dense,
-                                      serve::WeightSource::Dense};
-        serve::ModelEntry ce_entry = dense_entry;
-        ce_entry.weightSource = serve::WeightSource::CeDirect;
-        reg.add("dense", dense_entry);
-        reg.add("ce4", ce_entry);
+        reg.add("ce4", {records, factory, se_opts, apply_opts, dense});
         serve::ServeOptions fopts;
         fopts.threads = max_threads;
         fopts.maxBatch = 16;
@@ -746,37 +722,33 @@ main(int argc, char **argv)
         serve::ServeFront front(reg, fopts);
 
         auto t0 = Clock::now();
-        std::vector<std::future<Tensor>> fd, fc;
-        for (int i = 0; i < per_mode; ++i) {
-            const Tensor &x = traffic[(size_t)i % traffic.size()];
-            fd.push_back(front.submit("dense", x));
-            fc.push_back(front.submit("ce4", x));
-        }
+        std::vector<std::future<Tensor>> fc;
+        for (int i = 0; i < per_mode; ++i)
+            fc.push_back(
+                front.submit("ce4", traffic[(size_t)i % traffic.size()]));
         front.drain();
         const double ms = msSince(t0);
-        uint64_t dense_digest = kFnvOffsetBasis;
-        uint64_t ce_digest = kFnvOffsetBasis;
-        for (auto &f : fd)
-            dense_digest = hashTensor(f.get(), dense_digest);
-        for (auto &f : fc)
-            ce_digest = hashTensor(f.get(), ce_digest);
-        ce_identical = ce_digest == dense_digest;
-        const auto ds = front.stats("dense");
+        for (int i = 0; i < per_mode; ++i) {
+            const Tensor &x = traffic[(size_t)i % traffic.size()];
+            const Tensor ref = subject->forward(
+                x.reshaped({1, x.dim(0), x.dim(1), x.dim(2)}), false);
+            const Tensor y = fc[(size_t)i].get();
+            ce_identical =
+                ce_identical && y.size() == ref.size() &&
+                !std::memcmp(y.data(), ref.data(),
+                             (size_t)y.size() * sizeof(float));
+        }
         const auto cs = front.stats("ce4");
         std::printf(
-            "  \"ce_direct\": {\"requests_per_mode\": %d, "
+            "  \"ce_direct\": {\"requests\": %d, "
             "\"ms\": %.2f, \"rps\": %.1f, "
-            "\"dense_cold_rebuild_ms\": %.3f, "
-            "\"ce_cold_rebuild_ms\": %.3f, \"ce_pack_ms\": %.3f, "
-            "\"dense\": {\"p50_ms\": %.2f, \"p99_ms\": %.2f, "
-            "\"mean_latency_ms\": %.2f}, "
-            "\"ce\": {\"p50_ms\": %.2f, \"p99_ms\": %.2f, "
-            "\"mean_latency_ms\": %.2f}, "
+            "\"cold_rebuild_ms\": %.3f, \"pack_ms\": %.3f, "
+            "\"p50_ms\": %.2f, \"p99_ms\": %.2f, "
+            "\"mean_latency_ms\": %.2f, "
             "\"bit_identical\": %s},\n",
-            per_mode, ms, 1000.0 * 2 * per_mode / ms,
-            mode_rebuild_ms[0], mode_rebuild_ms[1], mode_pack_ms[1],
-            ds.p50Ms, ds.p99Ms, ds.meanLatencyMs, cs.p50Ms, cs.p99Ms,
-            cs.meanLatencyMs, bench::jsonBool(ce_identical));
+            per_mode, ms, 1000.0 * per_mode / ms, cold_rebuild_ms,
+            pack_ms, cs.p50Ms, cs.p99Ms, cs.meanLatencyMs,
+            bench::jsonBool(ce_identical));
     }
 
     // --- multi-model serving: two tenants behind one front ---------
@@ -818,16 +790,11 @@ main(int argc, char **argv)
         }
 
         serve::ModelRegistry reg;
-        // The tenants honor SE_SERVE_WEIGHT_SOURCE like the rest of
-        // the serving sections (ModelEntry::weightSource is
-        // authoritative per engine); their responses must match the
-        // Dense reference sessions above either way.
         reg.add("vgg19", {records, [] { return makeSubject(); },
-                          se_opts, apply_opts, nullptr,
-                          weight_source});
+                          se_opts, apply_opts, nullptr});
         reg.add("vgg11",
                 {records2, [] { return makeSecondSubject(); },
-                 se_opts, apply_opts, nullptr, weight_source});
+                 se_opts, apply_opts, nullptr});
         serve::ServeOptions fopts;
         fopts.threads = max_threads;
         fopts.maxBatch = 16;
@@ -1084,7 +1051,6 @@ main(int argc, char **argv)
             serve::SessionOptions so;
             so.rebuildPerCall = true;
             so.cacheRebuiltWeights = false;
-            so.weightSource = serve::WeightSource::CeDirect;
             so.denseState = std::make_shared<
                 const std::vector<core::DenseTensor>>(sm.dense());
             serve::InferenceSession session(makeSubject(),
@@ -1123,7 +1089,6 @@ main(int argc, char **argv)
             opts.maxBatch = 16;
             opts.session.rebuildPerCall = true;
             opts.session.cacheRebuiltWeights = false;
-            opts.session.weightSource = serve::WeightSource::CeDirect;
             opts.session.denseState = std::make_shared<
                 const std::vector<core::DenseTensor>>(sm.dense());
             serve::ServeEngine engine(sm.records(), factory, se_opts,
@@ -1174,8 +1139,8 @@ main(int argc, char **argv)
                 bench::jsonBool(digests_match));
     std::printf("}\n");
     // Exit status always gates the noise-immune invariants (response
-    // fidelity across engines, tenants and weight sources — CeDirect
-    // must match Dense bit for bit; warm rebuild
+    // fidelity across engines and tenants — the CeDirect tenant must
+    // match the compression-time net bit for bit; warm rebuild
     // beating cold at a ~50x margin; admission conservation; the v4
     // bundle reloading bit-identical with a first response that
     // decodes exactly one piece). --smoke additionally gates the

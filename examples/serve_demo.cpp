@@ -14,11 +14,11 @@
  *   models: comma-separated from {vgg11, vgg19, resnet50,
  *           resnet164, mobilenetv2}, e.g. "vgg19,mobilenetv2"
  *
- * Environment: SE_SERVE_QUEUE_CAP bounds admission (0 = unbounded),
- * SE_SERVE_DEADLINE_MS > 0 selects the Deadline flush policy, and
- * SE_SERVE_WEIGHT_SOURCE=ce serves from the packed codes directly.
- * Every model ships through /tmp as a v4 bundle and serves from a
- * lazily decoded StreamedModel.
+ * Environment: SE_SERVE_QUEUE_CAP bounds admission (0 = unbounded)
+ * and SE_SERVE_DEADLINE_MS > 0 selects the Deadline flush policy.
+ * Every model ships through /tmp as a v4 bundle, serves from a
+ * lazily decoded StreamedModel and rebuilds its weights straight
+ * from the packed 4-bit codes.
  * Stage and rebuild-stall counters are printed per model.
  */
 
@@ -126,11 +126,6 @@ main(int argc, char **argv)
     se_opts.vectorThreshold = 0.01;
     core::ApplyOptions apply_opts;
     runtime::CompressionPipeline pipe(run_opts);
-    const serve::WeightSource source =
-        run_opts.serveWeightSource ==
-                runtime::ServeWeightSource::CeDirect
-            ? serve::WeightSource::CeDirect
-            : serve::WeightSource::Dense;
     serve::ModelRegistry registry;
     // Streamed handles kept aside so the decode counters can be
     // reported after the traffic (the registry owns one ref too).
@@ -166,7 +161,7 @@ main(int argc, char **argv)
         streams[ni] = streamed;
         registry.add(name, serve::makeModelEntry(std::move(streamed),
                                                  factory, se_opts,
-                                                 apply_opts, source));
+                                                 apply_opts));
     }
 
     // 2. One front, one engine per model, the thread budget split.

@@ -290,6 +290,7 @@ planCompression(nn::Sequential &net, const SeOptions &se_opts,
     for (nn::Layer *l : leaves) {
         PlannedLayer pl;
         LayerReport &rep = pl.report;
+        SliceGeometry &geo = pl.geometry;
         if (auto *conv = dynamic_cast<nn::Conv2d *>(l)) {
             Tensor &w = conv->weightTensor();
             rep.name = "conv" + std::to_string(layer_idx++) + "_" +
@@ -314,10 +315,10 @@ planCompression(nn::Sequential &net, const SeOptions &se_opts,
                 continue;
             }
             if (conv->kernelSize() > 1) {
-                pl.weight = &w;
-                pl.convKxK = true;
-                pl.kernelR = w.dim(2);
-                pl.kernelS = w.dim(3);
+                geo.weight = &w;
+                geo.convKxK = true;
+                geo.kernelR = w.dim(2);
+                geo.kernelS = w.dim(3);
                 const size_t li = plan.layers.size();
                 for (int64_t f = 0; f < w.dim(0); ++f)
                     planUnits(plan, convFilterMatrix(w, f), li, f,
@@ -331,14 +332,14 @@ planCompression(nn::Sequential &net, const SeOptions &se_opts,
                 continue;
             } else {
                 // 1x1 conv: FC rule on the (M, C) view.
-                pl.weight = &w;
-                pl.kernelS = apply_opts.fcGroupSize;
-                pl.rowLength = w.dim(1);
+                geo.weight = &w;
+                geo.kernelS = apply_opts.fcGroupSize;
+                geo.rowLength = w.dim(1);
                 const size_t li = plan.layers.size();
                 for (int64_t f = 0; f < w.dim(0); ++f)
                     planUnits(plan,
-                              fcRowMatrix(w, f, pl.rowLength,
-                                          pl.kernelS),
+                              fcRowMatrix(w, f, geo.rowLength,
+                                          geo.kernelS),
                               li, f, apply_opts.maxSliceRows);
             }
             plan.layers.push_back(std::move(pl));
@@ -354,17 +355,44 @@ planCompression(nn::Sequential &net, const SeOptions &se_opts,
                 plan.layers.push_back(std::move(pl));
                 continue;
             }
-            pl.weight = &w;
-            pl.kernelS = s;
-            pl.rowLength = w.dim(1);
+            geo.weight = &w;
+            geo.kernelS = s;
+            geo.rowLength = w.dim(1);
             const size_t li = plan.layers.size();
             for (int64_t f = 0; f < w.dim(0); ++f)
-                planUnits(plan, fcRowMatrix(w, f, pl.rowLength, s), li,
+                planUnits(plan, fcRowMatrix(w, f, geo.rowLength, s), li,
                           f, apply_opts.maxSliceRows);
             plan.layers.push_back(std::move(pl));
         }
     }
     return plan;
+}
+
+void
+SliceGeometry::writeSlice(int64_t filter, int64_t rowOffset,
+                          const Tensor &recon) const
+{
+    Tensor &w = *weight;
+    if (convKxK) {
+        const int64_t r = kernelR, s = kernelS;
+        for (int64_t i = 0; i < recon.dim(0); ++i) {
+            const int64_t g = rowOffset + i;
+            for (int64_t ks = 0; ks < s; ++ks)
+                w.at(filter, g / r, g % r, ks) = recon.at(i, ks);
+        }
+    } else {
+        // FC rule (Linear or 1x1 conv): both store row f
+        // contiguously at flat offset f * rowLength.
+        const int64_t s = kernelS, c = rowLength;
+        for (int64_t i = 0; i < recon.dim(0); ++i) {
+            const int64_t g = rowOffset + i;
+            for (int64_t k = 0; k < s; ++k) {
+                const int64_t j = g * s + k;
+                if (j < c)
+                    w[filter * c + j] = recon.at(i, k);
+            }
+        }
+    }
 }
 
 CompressionReport
@@ -379,30 +407,9 @@ finishCompression(const CompressionPlan &plan,
     // Slices are disjoint, so order does not matter.
     for (size_t ui = 0; ui < plan.units.size(); ++ui) {
         const DecompUnit &u = plan.units[ui];
-        const PlannedLayer &pl = plan.layers[u.layerIndex];
-        SE_ASSERT(pl.weight, "unit for an undecomposed layer");
-        Tensor &w = *pl.weight;
-        Tensor recon = results[ui].reconstruct();
-        if (pl.convKxK) {
-            const int64_t r = pl.kernelR, s = pl.kernelS;
-            for (int64_t i = 0; i < recon.dim(0); ++i) {
-                const int64_t g = u.rowOffset + i;
-                for (int64_t ks = 0; ks < s; ++ks)
-                    w.at(u.filter, g / r, g % r, ks) = recon.at(i, ks);
-            }
-        } else {
-            // FC rule (Linear or 1x1 conv): both store row f
-            // contiguously at flat offset f * rowLength.
-            const int64_t s = pl.kernelS, c = pl.rowLength;
-            for (int64_t i = 0; i < recon.dim(0); ++i) {
-                const int64_t g = u.rowOffset + i;
-                for (int64_t k = 0; k < s; ++k) {
-                    const int64_t j = g * s + k;
-                    if (j < c)
-                        w[u.filter * c + j] = recon.at(i, k);
-                }
-            }
-        }
+        const SliceGeometry &geo = plan.layers[u.layerIndex].geometry;
+        SE_ASSERT(geo.weight, "unit for an undecomposed layer");
+        geo.writeSlice(u.filter, u.rowOffset, results[ui].reconstruct());
     }
 
     // Assemble the report: units are grouped by layer in plan order.

@@ -112,15 +112,34 @@ struct DecompUnit
     int64_t rowOffset = 0; ///< first row within the reshaped matrix
 };
 
+/**
+ * Where a decomposed layer's Ce*B slices land in its live weight
+ * tensor: the write-back half of the reshape rules. finishCompression
+ * and serve::InferenceSession's cold rebuild both scatter through
+ * writeSlice(), so compression and serving place every element alike.
+ */
+struct SliceGeometry
+{
+    Tensor *weight = nullptr;  ///< write-back target (the live tensor)
+    bool convKxK = false;      ///< conv reshape rule vs. FC group rule
+    int64_t kernelR = 1;       ///< conv kernel height
+    int64_t kernelS = 1;       ///< conv kernel width / FC group size
+    int64_t rowLength = 0;     ///< FC / 1x1 conv: flattened row length
+
+    /**
+     * Write one reconstructed slice (rows x kernelS) of conv filter /
+     * FC row `filter`, whose first row is reshaped row `rowOffset`,
+     * into *weight. FC zero padding past rowLength is dropped.
+     */
+    void writeSlice(int64_t filter, int64_t rowOffset,
+                    const Tensor &recon) const;
+};
+
 /** A reported layer plus the geometry needed to write results back. */
 struct PlannedLayer
 {
-    LayerReport report;        ///< pre-filled name / counts / chan-spar
-    Tensor *weight = nullptr;  ///< write-back target (the live tensor)
-    bool convKxK = false;      ///< conv reshape rule vs. FC group rule
-    int64_t kernelR = 1;       ///< conv kernel height (write-back)
-    int64_t kernelS = 1;       ///< conv kernel width / FC group size
-    int64_t rowLength = 0;     ///< FC / 1x1 conv: flattened row length
+    LayerReport report;     ///< pre-filled name / counts / chan-spar
+    SliceGeometry geometry; ///< weight null for undecomposed layers
 };
 
 /** Everything needed to run and then finish a compression pass. */

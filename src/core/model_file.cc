@@ -1039,8 +1039,8 @@ compressToRecords(nn::Sequential &net, const SeOptions &se_opts,
     // running stats / undecomposed weights come along too.
     std::vector<const Tensor *> decomposed_weights;
     for (const PlannedLayer &pl : plan.layers)
-        if (pl.weight)
-            decomposed_weights.push_back(pl.weight);
+        if (pl.geometry.weight)
+            decomposed_weights.push_back(pl.geometry.weight);
     out.dense = collectDenseState(net, decomposed_weights);
 
     out.report = finishCompression(plan, std::move(results), se_opts);
@@ -1122,8 +1122,8 @@ installRecordsImpl(nn::Sequential &net,
     if (dense && !dense->empty()) {
         std::vector<const Tensor *> decomposed_weights;
         for (const PlannedLayer &pl : plan.layers)
-            if (pl.weight)
-                decomposed_weights.push_back(pl.weight);
+            if (pl.geometry.weight)
+                decomposed_weights.push_back(pl.geometry.weight);
         installDenseState(net, *dense, decomposed_weights);
     }
 

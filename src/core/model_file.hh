@@ -108,9 +108,9 @@ struct ModelBundle
  * non-zero mask plus the surviving rows' codes packed two 4-bit
  * nibbles per byte (low nibble first; nibble = 0 for zero, else
  * sign bit 0x8 | exponent code 1..numLevels; 0x8 alone is illegal).
- * This is the in-memory form serve's CeDirect weight source packs at
- * session bind and feeds to kernels::gemmCeB; it is never written to
- * a file.
+ * This is the in-memory form serve::InferenceSession packs at bind
+ * and feeds to kernels::gemmCeB on every cold rebuild; it is never
+ * written to a file.
  */
 struct PackedCe
 {

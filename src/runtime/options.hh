@@ -8,7 +8,6 @@
 
 #include <cstddef>
 #include <cstdlib>
-#include <cstring>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -21,17 +20,6 @@
 
 namespace se {
 namespace runtime {
-
-/**
- * Weight storage the serve drivers hand to the serve layer
- * (runtime-level mirror of serve::WeightSource — the runtime layer
- * does not link against se::serve).
- */
-enum class ServeWeightSource
-{
-    Dense,     ///< decoded float Ce matrices
-    CeDirect,  ///< packed 4-bit codes through kernels::gemmCeB
-};
 
 /** Execution policy for the runtime drivers. */
 struct RuntimeOptions
@@ -74,13 +62,6 @@ struct RuntimeOptions
      * default policy in place.
      */
     double serveDeadlineMs = 0.0;
-    /**
-     * Which storage the serve drivers rebuild weights from
-     * (SE_SERVE_WEIGHT_SOURCE = dense | ce). Responses are
-     * bit-identical either way — CeDirect moves storage width and
-     * rebuild wall-clock, never values.
-     */
-    ServeWeightSource serveWeightSource = ServeWeightSource::Dense;
     /**
      * Spill directory of the persistent DecompCache (SE_CACHE_DIR).
      * Empty (the default) keeps the cache memory-only; set, every
@@ -163,17 +144,6 @@ struct RuntimeOptions
         if (const char *d = std::getenv("SE_SERVE_DEADLINE_MS"))
             ro.serveDeadlineMs =
                 envDouble("SE_SERVE_DEADLINE_MS", d);
-        if (const char *w = std::getenv("SE_SERVE_WEIGHT_SOURCE")) {
-            if (!std::strcmp(w, "dense"))
-                ro.serveWeightSource = ServeWeightSource::Dense;
-            else if (!std::strcmp(w, "ce") ||
-                     !std::strcmp(w, "cedirect"))
-                ro.serveWeightSource = ServeWeightSource::CeDirect;
-            else
-                throw std::invalid_argument(
-                    "SE_SERVE_WEIGHT_SOURCE must be dense|ce, got '" +
-                    std::string(w) + "'");
-        }
         if (const char *d = std::getenv("SE_CACHE_DIR")) {
             if (*d == '\0')
                 throw std::invalid_argument(

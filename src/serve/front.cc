@@ -21,6 +21,35 @@ validateEntry(const std::string &id, const ModelEntry &entry)
                                     "' has no net factory");
 }
 
+/**
+ * Fold `b` into `a`: counters and stage times sum, the latency mean
+ * is weighted by requests and the batch mean by batches, and max
+ * takes the max. Percentiles stay `a`'s (reservoirs don't merge
+ * exactly).
+ */
+void
+foldStats(ServeStats &a, const ServeStats &b)
+{
+    const double latWeighted = a.meanLatencyMs * (double)a.requests +
+                               b.meanLatencyMs * (double)b.requests;
+    const double batchWeighted = a.meanBatchSize * (double)a.batches +
+                                 b.meanBatchSize * (double)b.batches;
+    a.requests += b.requests;
+    a.failed += b.failed;
+    a.rejected += b.rejected;
+    a.shed += b.shed;
+    a.batches += b.batches;
+    a.meanLatencyMs =
+        a.requests > 0 ? latWeighted / (double)a.requests : 0.0;
+    a.meanBatchSize =
+        a.batches > 0 ? batchWeighted / (double)a.batches : 0.0;
+    a.maxMs = std::max(a.maxMs, b.maxMs);
+    a.formMs += b.formMs;
+    a.execMs += b.execMs;
+    a.completeMs += b.completeMs;
+    a.decodeStallMs += b.decodeStallMs;
+}
+
 std::string
 describeException(std::exception_ptr err)
 {
@@ -143,11 +172,8 @@ ServeFront::buildGeneration(const ModelEntry &e, uint64_t number) const
     auto gen = std::make_shared<Generation>();
     gen->number = number;
     gen->entry = e;
-    // The entry decides its model's storage: weight source and
-    // (when shipped) the dense residual are per-model, so
-    // quantized and float engines coexist behind one front.
+    // The dense residual (when shipped) is per-model.
     ServeOptions eopts = perEngineOpts_;
-    eopts.session.weightSource = e.weightSource;
     eopts.session.denseState = e.dense;
     // For a streamed entry this records() call is where the bundle's
     // pieces actually decode — the lazy loader's first touch (and
@@ -229,24 +255,6 @@ ServeFront::generationFor(size_t i)
 }
 
 void
-ServeFront::mergeRetiredLocked(Slot &s, const ServeStats &st) const
-{
-    RetiredStats &r = s.retired;
-    r.requests += st.requests;
-    r.failed += st.failed;
-    r.rejected += st.rejected;
-    r.shed += st.shed;
-    r.batches += st.batches;
-    r.latencyWeighted += st.meanLatencyMs * (double)st.requests;
-    r.batchWeighted += st.meanBatchSize * (double)st.batches;
-    r.maxMs = std::max(r.maxMs, st.maxMs);
-    r.formMs += st.formMs;
-    r.execMs += st.execMs;
-    r.completeMs += st.completeMs;
-    r.decodeStallMs += st.decodeStallMs;
-}
-
-void
 ServeFront::retireGeneration(size_t i, std::shared_ptr<Generation> gen)
 {
     if (!gen || !gen->engine)
@@ -257,7 +265,7 @@ ServeFront::retireGeneration(size_t i, std::shared_ptr<Generation> gen)
     gen->engine->stop();
     const ServeStats st = gen->engine->stats();
     base::LockGuard lk(mu_);
-    mergeRetiredLocked(slots_[i], st);
+    foldStats(slots_[i].retired, st);
 }
 
 void
@@ -331,8 +339,7 @@ ServeFront::reloadModel(const std::string &modelId, ModelEntry entry)
 ModelEntry
 makeModelEntry(core::ModelBundle bundle, NetFactory factory,
                const core::SeOptions &se_opts,
-               const core::ApplyOptions &apply_opts,
-               WeightSource source)
+               const core::ApplyOptions &apply_opts, WeightSource)
 {
     ModelEntry e;
     e.records =
@@ -344,15 +351,13 @@ makeModelEntry(core::ModelBundle bundle, NetFactory factory,
     e.dense =
         std::make_shared<const std::vector<core::DenseTensor>>(
             std::move(bundle.dense));
-    e.weightSource = source;
     return e;
 }
 
 ModelEntry
 makeModelEntry(std::shared_ptr<core::StreamedModel> streamed,
                NetFactory factory, const core::SeOptions &se_opts,
-               const core::ApplyOptions &apply_opts,
-               WeightSource source)
+               const core::ApplyOptions &apply_opts, WeightSource)
 {
     if (!streamed)
         throw std::invalid_argument(
@@ -366,7 +371,6 @@ makeModelEntry(std::shared_ptr<core::StreamedModel> streamed,
     // lets replica nets build before any piece decodes.
     e.dense = std::make_shared<const std::vector<core::DenseTensor>>(
         streamed->dense());
-    e.weightSource = source;
     e.streamed = std::move(streamed);
     return e;
 }
@@ -444,7 +448,7 @@ ServeFront::stats(const std::string &modelId) const
 {
     const size_t i = indexOf(modelId);
     std::shared_ptr<Generation> cur;
-    RetiredStats retired;
+    ServeStats retired;
     {
         base::LockGuard lk(mu_);
         cur = slots_[i].current;
@@ -454,24 +458,7 @@ ServeFront::stats(const std::string &modelId) const
     // (retired reservoirs are gone; counters and means merge).
     ServeStats s = cur && cur->engine ? cur->engine->stats()
                                       : ServeStats{};
-    double latWeighted = s.meanLatencyMs * (double)s.requests +
-                         retired.latencyWeighted;
-    double batchWeighted = s.meanBatchSize * (double)s.batches +
-                           retired.batchWeighted;
-    s.requests += retired.requests;
-    s.failed += retired.failed;
-    s.rejected += retired.rejected;
-    s.shed += retired.shed;
-    s.batches += retired.batches;
-    s.maxMs = std::max(s.maxMs, retired.maxMs);
-    s.formMs += retired.formMs;
-    s.execMs += retired.execMs;
-    s.completeMs += retired.completeMs;
-    s.decodeStallMs += retired.decodeStallMs;
-    s.meanLatencyMs =
-        s.requests > 0 ? latWeighted / (double)s.requests : 0.0;
-    s.meanBatchSize =
-        s.batches > 0 ? batchWeighted / (double)s.batches : 0.0;
+    foldStats(s, retired);
     return s;
 }
 
@@ -479,28 +466,8 @@ ServeStats
 ServeFront::aggregateStats() const
 {
     ServeStats agg;
-    double latWeighted = 0.0;
-    double batchWeighted = 0.0;
-    for (const std::string &id : ids_) {
-        const ServeStats s = stats(id);  // per-model, all generations
-        agg.requests += s.requests;
-        agg.failed += s.failed;
-        agg.rejected += s.rejected;
-        agg.shed += s.shed;
-        agg.batches += s.batches;
-        latWeighted += s.meanLatencyMs * (double)s.requests;
-        batchWeighted += s.meanBatchSize * (double)s.batches;
-        if (s.maxMs > agg.maxMs)
-            agg.maxMs = s.maxMs;
-        agg.formMs += s.formMs;
-        agg.execMs += s.execMs;
-        agg.completeMs += s.completeMs;
-        agg.decodeStallMs += s.decodeStallMs;
-    }
-    if (agg.requests > 0)
-        agg.meanLatencyMs = latWeighted / (double)agg.requests;
-    if (agg.batches > 0)
-        agg.meanBatchSize = batchWeighted / (double)agg.batches;
+    for (const std::string &id : ids_)
+        foldStats(agg, stats(id));  // per-model, all generations
     return agg;
 }
 

@@ -100,13 +100,6 @@ struct ModelEntry
      */
     std::shared_ptr<const std::vector<core::DenseTensor>> dense;
     /**
-     * Per-model weight storage the engine serves from. Authoritative
-     * for this entry's engine: it overrides whatever
-     * ServeOptions::session.weightSource says, so one front can A/B
-     * a CeDirect engine against a Dense engine of the same bundle.
-     */
-    WeightSource weightSource = WeightSource::Dense;
-    /**
      * Lazy alternative to `records`: an open v4 streaming bundle.
      * When set (and `records` is null) the front defers the engine —
      * and with it the bundle's piece decode — until the model's first
@@ -121,22 +114,25 @@ struct ModelEntry
 /**
  * Wrap a loaded bundle as a registrable entry: the
  * records and the dense residual move into shared ownership.
+ * The trailing WeightSource is ignored (CeDirect is the only
+ * source); it stays while the perfbench harness passes it.
  */
 ModelEntry makeModelEntry(core::ModelBundle bundle, NetFactory factory,
                           const core::SeOptions &se_opts,
                           const core::ApplyOptions &apply_opts,
-                          WeightSource source = WeightSource::Dense);
+                          WeightSource = WeightSource::CeDirect);
 
 /**
  * Wrap an open v4 streaming bundle as a lazily-decoded entry. The
  * dense residual (needed to build replica nets) is copied out of the
  * meta section up front; piece decode waits for the first submit.
+ * The trailing WeightSource is ignored, as above.
  */
 ModelEntry makeModelEntry(std::shared_ptr<core::StreamedModel> streamed,
                           NetFactory factory,
                           const core::SeOptions &se_opts,
                           const core::ApplyOptions &apply_opts,
-                          WeightSource source = WeightSource::Dense);
+                          WeightSource = WeightSource::CeDirect);
 
 /**
  * An ordered id -> ModelEntry map (registration order is the serving
@@ -284,23 +280,6 @@ class ServeFront
         std::unique_ptr<ServeEngine> engine;
     };
 
-    /** Retired-generation counters folded into stats(). */
-    struct RetiredStats
-    {
-        uint64_t requests = 0;
-        uint64_t failed = 0;
-        uint64_t rejected = 0;
-        uint64_t shed = 0;
-        uint64_t batches = 0;
-        double latencyWeighted = 0.0;  ///< sum of mean * requests
-        double batchWeighted = 0.0;    ///< sum of meanBatch * batches
-        double maxMs = 0.0;
-        double formMs = 0.0;
-        double execMs = 0.0;
-        double completeMs = 0.0;
-        double decodeStallMs = 0.0;
-    };
-
     struct Slot
     {
         ModelEntry entry;  ///< registered entry (generation-1 source)
@@ -310,7 +289,8 @@ class ServeFront
         std::string reason;       ///< last stand-up error (Unhealthy)
         uint64_t generation = 0;  ///< newest number that went live
         uint64_t fallbacks = 0;
-        RetiredStats retired;
+        /** Retired generations' counters, folded into stats(). */
+        ServeStats retired;
     };
 
     size_t indexOf(const std::string &modelId) const;
@@ -323,8 +303,6 @@ class ServeFront
     std::shared_ptr<Generation> buildGeneration(const ModelEntry &e,
                                                 uint64_t number) const
         SE_EXCLUDES(mu_);
-    void mergeRetiredLocked(Slot &s, const ServeStats &st) const
-        SE_REQUIRES(mu_);
     /** Stop `gen`'s engine and fold its counters into slot i. */
     void retireGeneration(size_t i, std::shared_ptr<Generation> gen)
         SE_EXCLUDES(mu_);

@@ -24,19 +24,14 @@ sampleShape(const Tensor &t)
 /** One decomposed layer bound to its shipped pieces. */
 struct InferenceSession::BoundLayer
 {
-    Tensor *weight = nullptr;  ///< live tensor inside net_
-    bool convKxK = false;
-    int64_t kernelR = 1;
-    int64_t kernelS = 1;
-    int64_t rowLength = 0;
+    core::SliceGeometry geometry;  ///< the plan's; weight is in net_
 
     struct BoundUnit
     {
         const core::SeMatrix *piece = nullptr;  ///< into *model_
         int64_t filter = 0;
         int64_t rowOffset = 0;
-        /** 4-bit storage form; filled only under CeDirect. */
-        core::PackedCe packed;
+        core::PackedCe packed;  ///< the piece's Ce as 4-bit codes
     };
     std::vector<BoundUnit> units;
 
@@ -63,13 +58,8 @@ InferenceSession::InferenceSession(
     // shared_ptr keeps alive.
     for (const core::RecordBinding &b :
          core::matchRecordsToPlan(plan, *model_)) {
-        const core::PlannedLayer &pl = plan.layers[b.layerIndex];
         BoundLayer bl;
-        bl.weight = pl.weight;
-        bl.convKxK = pl.convKxK;
-        bl.kernelR = pl.kernelR;
-        bl.kernelS = pl.kernelS;
-        bl.rowLength = pl.rowLength;
+        bl.geometry = plan.layers[b.layerIndex].geometry;
         for (size_t k = 0; k < b.unitCount; ++k) {
             const core::DecompUnit &u = plan.units[b.unitBegin + k];
             bl.units.push_back(
@@ -86,22 +76,19 @@ InferenceSession::InferenceSession(
         std::vector<const Tensor *> decomposed;
         decomposed.reserve(layers_.size());
         for (const BoundLayer &bl : layers_)
-            decomposed.push_back(bl.weight);
+            decomposed.push_back(bl.geometry.weight);
         core::installDenseState(*net_, *opts_.denseState, decomposed);
     }
 
-    // CeDirect: keep each piece at the accelerator's storage width.
-    // Packing is exact (codes are codes), so this is a one-time
-    // transcode, not a quantization step; its cost is the CeDirect
-    // cold-start price and lands in stats().packMs.
-    if (opts_.weightSource == WeightSource::CeDirect) {
-        const auto t0 = SteadyClock::now();
-        for (BoundLayer &bl : layers_)
-            for (auto &bu : bl.units)
-                bu.packed =
-                    core::packCe(bu.piece->ce, bu.piece->alphabet);
-        stats_.packMs = msSince(t0);
-    }
+    // Keep each piece at the accelerator's storage width. Packing is
+    // exact (codes are codes), so this is a one-time transcode, not a
+    // quantization step; it refuses alphabets wider than 4 bits, and
+    // its cost lands in stats().packMs.
+    const auto t0 = SteadyClock::now();
+    for (BoundLayer &bl : layers_)
+        for (auto &bu : bl.units)
+            bu.packed = core::packCe(bu.piece->ce, bu.piece->alphabet);
+    stats_.packMs = msSince(t0);
 }
 
 InferenceSession::~InferenceSession() = default;
@@ -117,50 +104,24 @@ InferenceSession::rebuildLayer(BoundLayer &bl)
 {
     bool cold;
     if (bl.cacheValid && opts_.cacheRebuiltWeights) {
-        *bl.weight = bl.cache;  // warm: one dense copy
+        *bl.geometry.weight = bl.cache;  // warm: one dense copy
         cold = false;
     } else {
-        // Cold: reconstruct every Ce*B slice and write it back, the
-        // same geometry as core::finishCompression. Under CeDirect
-        // the fused gemmCeB decodes the packed 4-bit codes inside the
-        // micro-kernel — no staged float panels (bit-identical to the
-        // dense reconstruct at every ISA).
-        Tensor &w = *bl.weight;
+        // Cold: rebuild every Ce*B slice with the fused gemmCeB, which
+        // decodes the packed 4-bit codes inside the micro-kernel (no
+        // staged float panels), and scatter it through the same
+        // writeSlice as core::finishCompression.
         for (const auto &bu : bl.units) {
-            Tensor recon;
-            if (opts_.weightSource == WeightSource::CeDirect) {
-                const core::PackedCe &p = bu.packed;
-                const int64_t cols = bu.piece->basis.dim(1);
-                recon = Tensor({p.rows, cols});
-                kernels::gemmCeB(p.rowMask.data(), p.nibbles.data(),
-                                 p.rows, p.cols,
-                                 bu.piece->basis.data(), cols,
-                                 p.alphabet, recon.data());
-            } else {
-                recon = bu.piece->reconstruct();
-            }
-            if (bl.convKxK) {
-                const int64_t r = bl.kernelR, s = bl.kernelS;
-                for (int64_t i = 0; i < recon.dim(0); ++i) {
-                    const int64_t g = bu.rowOffset + i;
-                    for (int64_t ks = 0; ks < s; ++ks)
-                        w.at(bu.filter, g / r, g % r, ks) =
-                            recon.at(i, ks);
-                }
-            } else {
-                const int64_t s = bl.kernelS, c = bl.rowLength;
-                for (int64_t i = 0; i < recon.dim(0); ++i) {
-                    const int64_t g = bu.rowOffset + i;
-                    for (int64_t k = 0; k < s; ++k) {
-                        const int64_t j = g * s + k;
-                        if (j < c)
-                            w[bu.filter * c + j] = recon.at(i, k);
-                    }
-                }
-            }
+            const core::PackedCe &p = bu.packed;
+            const int64_t cols = bu.piece->basis.dim(1);
+            Tensor recon({p.rows, cols});
+            kernels::gemmCeB(p.rowMask.data(), p.nibbles.data(), p.rows,
+                             p.cols, bu.piece->basis.data(), cols,
+                             p.alphabet, recon.data());
+            bl.geometry.writeSlice(bu.filter, bu.rowOffset, recon);
         }
         if (opts_.cacheRebuiltWeights) {
-            bl.cache = w;
+            bl.cache = *bl.geometry.weight;
             bl.cacheValid = true;
         }
         cold = true;

@@ -8,7 +8,8 @@
  * accelerator's rebuild engine as tiles stream in. This class is the
  * software mirror: it holds a (shared, immutable) bundle of
  * SeLayerRecord pieces plus a live architecture instance, and
- * materializes W = Ce*B into the live weight tensors on demand.
+ * materializes W = Ce*B into the live weight tensors on demand,
+ * straight from the pieces' packed 4-bit codes.
  *
  * Two policies bracket the paper's storage/compute trade-off:
  *  - cached (default): each layer is rebuilt once, lazily, and a
@@ -47,26 +48,19 @@ namespace serve {
 Shape sampleShape(const Tensor &t);
 
 /**
- * What the rebuild engine reads W = Ce*B from.
+ * What the rebuild engine reads W = Ce*B from. CeDirect is the only
+ * datapath: each piece's Ce is packed to 4-bit codes
+ * (core::PackedCe) at bind, and every cold rebuild decodes them
+ * inside the GEMM micro-kernel (kernels::gemmCeB), so the stored
+ * datapath width reaches the hot loop, as on the accelerator.
  *
- *  - Dense: each piece's decoded float Ce matrix.
- *  - CeDirect: the packed 4-bit codes (core::PackedCe, packed at
- *    bind), decoded inside the GEMM micro-kernel by
- *    kernels::gemmCeB. The stored datapath width reaches the hot
- *    loop, mirroring the accelerator. Responses are bit-identical to
- *    Dense: nibble decode is exact (powers of two) and the panel
- *    split preserves every element's accumulation order, so no
- *    tolerance is needed. Requires a 4-bit alphabet (numLevels <= 7,
- *    i.e. SeOptions::coefBits == 4); binding a wider model throws
- *    core::ModelFileError.
- *
- * Bind packs whatever SeMatrix the loader produced, so a v4 bundle's
- * adaptive-width pieces transcode to the fixed 4-bit PackedCe here
- * (codes are codes) and serve bit-identically to Dense.
+ * A one-value enum only because the perfbench harness still names it
+ * (makeModelEntry's trailing argument and
+ * SessionOptions::weightSource); both go when that harness next
+ * changes.
  */
 enum class WeightSource
 {
-    Dense,
     CeDirect,
 };
 
@@ -84,8 +78,8 @@ struct SessionOptions
      * (cold). Disable to force every rebuild cold.
      */
     bool cacheRebuiltWeights = true;
-    /** Storage the cold rebuild path consumes. */
-    WeightSource weightSource = WeightSource::Dense;
+    /** Always CeDirect; kept while the perfbench harness sets it. */
+    WeightSource weightSource = WeightSource::CeDirect;
     /**
      * The bundle's dense residual (BN gamma/beta/running stats,
      * biases, undecomposed weights), installed into the net at bind
@@ -105,10 +99,9 @@ struct SessionStats
     uint64_t warmRebuilds = 0;  ///< layers restored from the cache
     double rebuildMs = 0.0;     ///< total wall-clock spent rebuilding
     /**
-     * One-time CeDirect bind cost: wall-clock spent packing the
-     * records' Ce matrices to 4-bit form at construction (the
-     * cold-start price of serving at the stored datapath width;
-     * 0 under WeightSource::Dense).
+     * One-time bind cost: wall-clock spent packing the records' Ce
+     * matrices to 4-bit codes at construction (the cold-start price
+     * of serving at the stored datapath width).
      */
     double packMs = 0.0;
 };
@@ -120,8 +113,16 @@ class InferenceSession
      * Bind a shipped model to a freshly built architecture instance.
      * The net's decomposed-layer geometry must match the records
      * (same architecture and ApplyOptions as at compression time);
-     * throws core::ModelFileError otherwise. The records stay shared
-     * and immutable — the compressed form is the storage of record.
+     * throws core::ModelFileError otherwise. Every piece is packed to
+     * 4-bit codes here (a v4 bundle's adaptive-width codes transcode
+     * exactly), so a record whose alphabet has more than 7 levels
+     * (SeOptions::coefBits > 4) also throws core::ModelFileError. The records stay shared and immutable —
+     * the compressed form is the storage of record.
+     *
+     * Responses are bit-identical to the compression-time net, whose
+     * weights core::finishCompression writes through
+     * SeMatrix::reconstruct(): nibble decode is exact (powers of two)
+     * and gemmCeB keeps every element's accumulation order.
      *
      * CONTRACT: records carry only the decomposed weights. Every
      * other tensor — BN gamma/beta/running stats, biases, layers too

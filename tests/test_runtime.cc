@@ -62,14 +62,11 @@ TEST(RuntimeOptions, FromEnvParsesValidKnobs)
     ScopedEnv t("SE_THREADS", "3");
     ScopedEnv q("SE_SERVE_QUEUE_CAP", "128");
     ScopedEnv d("SE_SERVE_DEADLINE_MS", "2.5");
-    ScopedEnv w("SE_SERVE_WEIGHT_SOURCE", "ce");
     const auto ro = runtime::RuntimeOptions::fromEnv();
     EXPECT_EQ(ro.threads, 3);
     EXPECT_EQ(kernels::threadsFromEnv(), 3);
     EXPECT_EQ(ro.serveQueueCap, 128u);
     EXPECT_DOUBLE_EQ(ro.serveDeadlineMs, 2.5);
-    EXPECT_EQ(ro.serveWeightSource,
-              runtime::ServeWeightSource::CeDirect);
 }
 
 TEST(RuntimeOptions, FromEnvRejectsMalformedValues)
@@ -87,7 +84,6 @@ TEST(RuntimeOptions, FromEnvRejectsMalformedValues)
         {"SE_SERVE_DEADLINE_MS", "fast"},
         {"SE_SERVE_DEADLINE_MS", "1.5ms"},
         {"SE_SERVE_DEADLINE_MS", "nan"},
-        {"SE_SERVE_WEIGHT_SOURCE", "quantized"},
         {"SE_KERNEL_ISA", "avx512"},
         {"SE_KERNEL_ISA", "fast"},
         {"SE_KERNEL_ISA", "AVX2"},  // case-sensitive like the others
@@ -143,14 +139,11 @@ TEST(RuntimeOptions, FromEnvDefaultsWithoutKnobs)
     // Shield against SE_* leaking in from the harness environment.
     std::vector<std::unique_ptr<ScopedEnv>> clear;
     for (const char *name :
-         {"SE_SERVE_QUEUE_CAP", "SE_SERVE_DEADLINE_MS",
-          "SE_SERVE_WEIGHT_SOURCE"}) {
+         {"SE_SERVE_QUEUE_CAP", "SE_SERVE_DEADLINE_MS"}) {
         clear.push_back(std::make_unique<ScopedEnv>(name, "0"));
         ::unsetenv(name);  // ScopedEnv restores any prior value
     }
     const auto ro = runtime::RuntimeOptions::fromEnv();
-    EXPECT_EQ(ro.serveWeightSource,
-              runtime::ServeWeightSource::Dense);
     EXPECT_EQ(ro.serveQueueCap, 0u);
     EXPECT_DOUBLE_EQ(ro.serveDeadlineMs, 0.0);
 }

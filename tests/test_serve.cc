@@ -3,7 +3,8 @@
  * Tests of the se::serve layer: InferenceSession weight rebuild
  * policies and fidelity against the eager install path, ServeEngine
  * batching/fan-out correctness, and the determinism wall — responses
- * must be bit-identical across thread counts, batch sizes and flush
+ * must be bit-identical to the compression-time net across kernel
+ * ISAs, thread counts, batch sizes, flush policies and rebuild
  * policies.
  */
 
@@ -20,6 +21,7 @@
 #include "base/hash.hh"
 #include "base/random.hh"
 #include "core/stream_loader.hh"
+#include "kernels/dispatch.hh"
 #include "nn/blocks.hh"
 #include "serve/engine.hh"
 #include "serve/front.hh"
@@ -722,76 +724,38 @@ TEST(ServeFront, PerModelShapeIsolation)
     EXPECT_EQ(front.stats("m2").rejected, 1u);
 }
 
-// -------------------------------------- CeDirect quantized serving
+// ------------------------------------------ packed-code serving
 
-TEST(InferenceSession, CeDirectBitIdenticalToDense)
+TEST(InferenceSession, WiderAlphabetRefusedByLevelCount)
 {
-    auto shipped = shipModel(91);
-    serve::InferenceSession dense(makeServeCnn(91), shipped.records,
-                                  shipped.seOpts, shipped.applyOpts);
-    serve::SessionOptions ce_opts;
-    ce_opts.weightSource = serve::WeightSource::CeDirect;
-    ce_opts.cacheRebuiltWeights = false;  // every rebuild decodes
-    ce_opts.rebuildPerCall = true;
-    serve::InferenceSession ce(makeServeCnn(91), shipped.records,
-                               shipped.seOpts, shipped.applyOpts,
-                               ce_opts);
-    EXPECT_GE(ce.stats().packMs, 0.0);
-
-    for (int i = 0; i < 4; ++i) {
-        Tensor x = makeInput(500 + (uint64_t)i, 3);
-        Tensor yd = dense.forward(x);
-        Tensor yc = ce.forward(x);
-        ASSERT_EQ(yd.shape(), yc.shape());
-        EXPECT_EQ(std::memcmp(yd.data(), yc.data(),
-                              (size_t)yd.size() * sizeof(float)),
-                  0)
-            << "request " << i;
+    // Serving rebuilds only from 4-bit packed codes, so records
+    // compressed with coefBits = 6 (a 31-level alphabet) cannot bind:
+    // the refusal is a ModelFileError naming the level count.
+    core::SeOptions se_opts;
+    se_opts.vectorThreshold = 0.01;
+    se_opts.coefBits = 6;
+    core::ApplyOptions apply_opts;
+    auto net = makeServeCnn(91);
+    auto compressed =
+        core::compressToRecords(*net, se_opts, apply_opts);
+    ASSERT_FALSE(compressed.records.empty());
+    const int levels =
+        compressed.records.front().pieces.front().alphabet.numLevels;
+    ASSERT_EQ(levels, 31);
+    auto records =
+        std::make_shared<const std::vector<core::SeLayerRecord>>(
+            std::move(compressed.records));
+    try {
+        serve::InferenceSession session(makeServeCnn(91), records,
+                                        se_opts, apply_opts);
+        FAIL() << "a " << levels << "-level alphabet bound";
+    } catch (const core::ModelFileError &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "alphabet has 31 levels; a 4-bit packed code "
+                      "carries at most 7"),
+                  std::string::npos)
+            << e.what();
     }
-}
-
-TEST(ServeFront, QuantizedEngineABsAgainstFloatEngineOfSameBundle)
-{
-    // The ISCA story end-to-end: one bundle, two tenants — a Dense
-    // engine and a CeDirect engine — answering identical traffic
-    // with identical bits and separate per-tenant stats.
-    auto shipped = shipModel(92);
-    serve::ModelRegistry reg;
-    serve::ModelEntry dense_entry{shipped.records,
-                                  [] { return makeServeCnn(92); },
-                                  shipped.seOpts, shipped.applyOpts};
-    serve::ModelEntry ce_entry = dense_entry;
-    ce_entry.weightSource = serve::WeightSource::CeDirect;
-    reg.add("dense", dense_entry);
-    reg.add("ce4", ce_entry);
-
-    serve::ServeOptions opts;
-    opts.threads = 2;
-    opts.maxBatch = 4;
-    opts.session.rebuildPerCall = true;  // rebuilds on every batch
-    opts.session.cacheRebuiltWeights = false;
-    serve::ServeFront front(reg, opts);
-
-    const int n = 10;
-    std::vector<std::future<Tensor>> fd, fc;
-    for (int i = 0; i < n; ++i) {
-        fd.push_back(
-            front.submit("dense", makeInput(600 + (uint64_t)i)));
-        fc.push_back(
-            front.submit("ce4", makeInput(600 + (uint64_t)i)));
-    }
-    front.drain();
-    for (int i = 0; i < n; ++i) {
-        Tensor yd = fd[(size_t)i].get();
-        Tensor yc = fc[(size_t)i].get();
-        ASSERT_EQ(yd.size(), yc.size());
-        EXPECT_EQ(std::memcmp(yd.data(), yc.data(),
-                              (size_t)yd.size() * sizeof(float)),
-                  0)
-            << "request " << i;
-    }
-    EXPECT_EQ(front.stats("dense").requests, (uint64_t)n);
-    EXPECT_EQ(front.stats("ce4").requests, (uint64_t)n);
 }
 
 TEST(ServeFront, PrunedV4BundleServesWithNoOutOfBandRestore)
@@ -829,43 +793,30 @@ TEST(ServeFront, PrunedV4BundleServesWithNoOutOfBandRestore)
     auto bundle = core::loadModelBundle(ss);
 
     serve::ModelRegistry reg;
-    reg.add("pruned-dense",
-            serve::makeModelEntry(bundle,
-                                  [] { return makeServeCnn(93); },
-                                  se_opts, apply_opts));
-    reg.add("pruned-ce4",
+    reg.add("pruned",
             serve::makeModelEntry(std::move(bundle),
                                   [] { return makeServeCnn(93); },
-                                  se_opts, apply_opts,
-                                  serve::WeightSource::CeDirect));
+                                  se_opts, apply_opts));
     serve::ServeOptions opts;
     opts.threads = 2;
     opts.maxBatch = 4;
     serve::ServeFront front(reg, opts);
 
     const int n = 8;
-    std::vector<std::future<Tensor>> fd, fc;
-    for (int i = 0; i < n; ++i) {
-        fd.push_back(front.submit("pruned-dense",
-                                  makeInput(700 + (uint64_t)i)));
-        fc.push_back(front.submit("pruned-ce4",
-                                  makeInput(700 + (uint64_t)i)));
-    }
+    std::vector<std::future<Tensor>> futs;
+    for (int i = 0; i < n; ++i)
+        futs.push_back(
+            front.submit("pruned", makeInput(700 + (uint64_t)i)));
     front.drain();
     for (int i = 0; i < n; ++i) {
         Tensor ref = reference->forward(
             makeInput(700 + (uint64_t)i), false);
-        Tensor yd = fd[(size_t)i].get();
-        Tensor yc = fc[(size_t)i].get();
-        ASSERT_EQ(yd.size(), ref.size());
-        EXPECT_EQ(std::memcmp(yd.data(), ref.data(),
+        Tensor y = futs[(size_t)i].get();
+        ASSERT_EQ(y.size(), ref.size());
+        EXPECT_EQ(std::memcmp(y.data(), ref.data(),
                               (size_t)ref.size() * sizeof(float)),
                   0)
-            << "dense request " << i;
-        EXPECT_EQ(std::memcmp(yc.data(), ref.data(),
-                              (size_t)ref.size() * sizeof(float)),
-                  0)
-            << "ce4 request " << i;
+            << "request " << i;
     }
 }
 
@@ -893,46 +844,6 @@ TEST(InferenceSession, DenseStateInstallRejectsWrongFactory)
         serve::InferenceSession(makeServeCnn(94), records, se_opts,
                                 apply_opts, opts),
         core::ModelFileError);
-}
-
-TEST(ServeEngine, CeDirectDeterministicAcrossThreadsAndBatching)
-{
-    // The determinism wall extended to the quantized path.
-    auto shipped = shipModel(95);
-    const int n = 15;
-    std::vector<uint64_t> digests;
-    for (const auto &[threads, batch] :
-         std::vector<std::pair<int, size_t>>{
-             {0, 1}, {1, 4}, {4, 3}, {2, 8}}) {
-        serve::ServeOptions opts;
-        opts.threads = threads;
-        opts.maxBatch = batch;
-        opts.session.weightSource = serve::WeightSource::CeDirect;
-        serve::ServeEngine engine(
-            shipped.records, [] { return makeServeCnn(95); },
-            shipped.seOpts, shipped.applyOpts, opts);
-        std::vector<std::future<Tensor>> futs;
-        for (int i = 0; i < n; ++i)
-            futs.push_back(
-                engine.submit(makeInput(800 + (uint64_t)i)));
-        engine.drain();
-        uint64_t digest = kFnvOffsetBasis;
-        for (auto &f : futs)
-            digest = hashTensor(f.get(), digest);
-        digests.push_back(digest);
-    }
-    for (size_t i = 1; i < digests.size(); ++i)
-        EXPECT_EQ(digests[i], digests[0]) << "config " << i;
-
-    // And the quantized digests equal the dense reference's.
-    serve::InferenceSession dense(makeServeCnn(95), shipped.records,
-                                  shipped.seOpts, shipped.applyOpts);
-    uint64_t ref = kFnvOffsetBasis;
-    for (int i = 0; i < n; ++i) {
-        Tensor y = dense.forward(makeInput(800 + (uint64_t)i));
-        ref = hashTensor(y.reshaped({y.size()}), ref);
-    }
-    EXPECT_EQ(digests[0], ref);
 }
 
 TEST(ServeEngine, HeavyTrafficManyWaiters)
@@ -980,59 +891,6 @@ shipV4Model(uint64_t seed, const std::string &path,
                                   apply_opts);
     core::saveModelV4File(path, compressed.bundle());
     return reference;
-}
-
-TEST(ServeFrontV4, V4BundleServesDenseAndCeDirectBitIdentical)
-{
-    core::SeOptions se_opts;
-    se_opts.vectorThreshold = 0.01;
-    core::ApplyOptions apply_opts;
-    const std::string path = "/tmp/se_serve_v4_ab.sexm";
-    auto reference = shipV4Model(96, path, se_opts, apply_opts);
-
-    // One v4 file, opened lazily once, served by two tenants — a
-    // Dense engine and a CeDirect engine (the transcode shim).
-    auto streamed = std::make_shared<core::StreamedModel>(path);
-    serve::ModelRegistry reg;
-    reg.add("dense",
-            serve::makeModelEntry(streamed,
-                                  [] { return makeServeCnn(96); },
-                                  se_opts, apply_opts));
-    reg.add("ce4",
-            serve::makeModelEntry(streamed,
-                                  [] { return makeServeCnn(96); },
-                                  se_opts, apply_opts,
-                                  serve::WeightSource::CeDirect));
-
-    serve::ServeOptions opts;
-    opts.threads = 2;
-    opts.maxBatch = 4;
-    serve::ServeFront front(reg, opts);
-
-    const int n = 10;
-    std::vector<std::future<Tensor>> fd, fc;
-    for (int i = 0; i < n; ++i) {
-        fd.push_back(
-            front.submit("dense", makeInput(900 + (uint64_t)i)));
-        fc.push_back(
-            front.submit("ce4", makeInput(900 + (uint64_t)i)));
-    }
-    front.drain();
-    for (int i = 0; i < n; ++i) {
-        Tensor ref = reference->forward(
-            makeInput(900 + (uint64_t)i), false);
-        Tensor yd = fd[(size_t)i].get();
-        Tensor yc = fc[(size_t)i].get();
-        ASSERT_EQ(yd.size(), ref.size());
-        EXPECT_EQ(std::memcmp(yd.data(), ref.data(),
-                              (size_t)ref.size() * sizeof(float)),
-                  0)
-            << "dense request " << i;
-        EXPECT_EQ(std::memcmp(yc.data(), ref.data(),
-                              (size_t)ref.size() * sizeof(float)),
-                  0)
-            << "ce4 request " << i;
-    }
 }
 
 TEST(ServeFrontV4, StreamedAndRecordsPathsAnswerIdentically)
@@ -1417,71 +1275,102 @@ TEST(ServeFrontV4, SubmitVsStopRaceOnColdEntryNoDoubleBuild)
 
 // ------------------------------------------- bit-identity wall
 
+/** Force one micro-kernel ISA for a scope, restoring the previous. */
+class ScopedIsa
+{
+  public:
+    explicit ScopedIsa(kernels::KernelIsa isa)
+        : prev_(kernels::activeIsa())
+    {
+        kernels::setActiveIsa(isa);
+    }
+    ~ScopedIsa() { kernels::setActiveIsa(prev_); }
+
+  private:
+    kernels::KernelIsa prev_;
+};
+
 TEST(ServePipeline, BitIdentityWallAcrossModesThreadsAndPolicies)
 {
     // The engine answers every request bit-identically to the
-    // eager-installed reference net across thread counts, flush
-    // policies, rebuild policies and weight sources.
+    // compression-time net (the eager SeMatrix::reconstruct()
+    // install) on every ISA x thread count x flush policy x rebuild
+    // policy. Every cold rebuild runs the packed-code gemmCeB, so
+    // this is the one reference check of the serving datapath.
     auto shipped = shipModel(142);
     const int n = 19;
 
+    // The reference forward runs on the scalar kernels, the bit-exact
+    // baseline, so a diverging row names the ISA at fault.
     uint64_t refDigest = kFnvOffsetBasis;
-    for (int i = 0; i < n; ++i) {
-        Tensor y = shipped.reference->forward(
-            makeInput(1500 + (uint64_t)i), false);
-        refDigest = hashTensor(y.reshaped({y.size()}), refDigest);
+    {
+        ScopedIsa scalar(kernels::KernelIsa::Scalar);
+        for (int i = 0; i < n; ++i) {
+            Tensor y = shipped.reference->forward(
+                makeInput(1500 + (uint64_t)i), false);
+            refDigest = hashTensor(y.reshaped({y.size()}), refDigest);
+        }
     }
 
-    struct Config
+    struct Rebuild
     {
-        int threads;
-        size_t maxBatch;
-        serve::FlushPolicy flush;
+        const char *name;
         bool perCall;
-        serve::WeightSource src;
+        bool cache;
     };
-    const Config configs[] = {
-        {0, 4, serve::FlushPolicy::Greedy, true,
-         serve::WeightSource::Dense},
-        {1, 4, serve::FlushPolicy::Greedy, true,
-         serve::WeightSource::CeDirect},
-        {3, 5, serve::FlushPolicy::Greedy, true,
-         serve::WeightSource::CeDirect},
-        {2, 8, serve::FlushPolicy::Full, false,
-         serve::WeightSource::Dense},
-        {2, 6, serve::FlushPolicy::Deadline, true,
-         serve::WeightSource::CeDirect},
-        {4, 3, serve::FlushPolicy::Greedy, false,
-         serve::WeightSource::CeDirect},
+    const Rebuild rebuilds[] = {
+        {"cached", false, true},
+        {"per-call warm", true, true},
+        {"per-call cold", true, false},
     };
-    size_t idx = 0;
-    for (const Config &cfg : configs) {
-        serve::ServeOptions opts;
-        opts.threads = cfg.threads;
-        opts.maxBatch = cfg.maxBatch;
-        opts.flush = cfg.flush;
-        opts.session.rebuildPerCall = cfg.perCall;
-        opts.session.weightSource = cfg.src;
-        serve::ServeEngine engine(
-            shipped.records, [] { return makeServeCnn(142); },
-            shipped.seOpts, shipped.applyOpts, opts);
+    struct Flush
+    {
+        const char *name;
+        serve::FlushPolicy policy;
+    };
+    const Flush flushes[] = {
+        {"greedy", serve::FlushPolicy::Greedy},
+        {"full", serve::FlushPolicy::Full},
+        {"deadline", serve::FlushPolicy::Deadline},
+    };
+    for (kernels::KernelIsa isa : kernels::supportedIsas()) {
+        ScopedIsa scoped(isa);
+        for (const int threads : {0, 1, 3}) {
+            for (const Flush &flush : flushes) {
+                for (const Rebuild &rb : rebuilds) {
+                    const std::string cfg =
+                        std::string(kernels::isaName(isa)) +
+                        " threads=" + std::to_string(threads) +
+                        " " + flush.name + " " + rb.name;
+                    serve::ServeOptions opts;
+                    opts.threads = threads;
+                    opts.maxBatch = 3 + (size_t)threads;
+                    opts.flush = flush.policy;
+                    opts.session.rebuildPerCall = rb.perCall;
+                    opts.session.cacheRebuiltWeights = rb.cache;
+                    serve::ServeEngine engine(
+                        shipped.records,
+                        [] { return makeServeCnn(142); },
+                        shipped.seOpts, shipped.applyOpts, opts);
 
-        std::vector<std::future<Tensor>> futs;
-        for (int i = 0; i < n; ++i)
-            futs.push_back(
-                engine.submit(makeInput(1500 + (uint64_t)i)));
-        engine.drain();
+                    std::vector<std::future<Tensor>> futs;
+                    for (int i = 0; i < n; ++i)
+                        futs.push_back(engine.submit(
+                            makeInput(1500 + (uint64_t)i)));
+                    engine.drain();
 
-        uint64_t digest = kFnvOffsetBasis;
-        for (auto &f : futs)
-            digest = hashTensor(f.get(), digest);
-        EXPECT_EQ(digest, refDigest)
-            << "config " << idx << " diverged from the reference";
+                    uint64_t digest = kFnvOffsetBasis;
+                    for (auto &f : futs)
+                        digest = hashTensor(f.get(), digest);
+                    EXPECT_EQ(digest, refDigest)
+                        << cfg << " diverged from the reference";
 
-        auto st = engine.stats();
-        EXPECT_EQ(st.requests, (uint64_t)n) << "config " << idx;
-        EXPECT_EQ(st.failed, 0u) << "config " << idx;
-        ++idx;
+                    auto st = engine.stats();
+                    EXPECT_EQ(st.requests, (uint64_t)n) << cfg;
+                    EXPECT_EQ(st.failed, 0u) << cfg;
+                }
+            }
+        }
     }
 }
 
