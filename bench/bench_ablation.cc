@@ -16,12 +16,15 @@
 
 #include "base/table.hh"
 #include "bench_util.hh"
+#include "runtime/options.hh"
 #include "runtime/sim_driver.hh"
 
 int
 main()
 {
     using namespace se;
+    // Refuse a malformed or unknown SE_* variable before any output.
+    runtime::RuntimeOptions::fromEnv();
 
     auto w = accel::annotatedWorkload(models::ModelId::ResNet50);
 
@@ -74,8 +77,7 @@ main()
     for (const auto &v : variants)
         accs.push_back(&v);
 
-    runtime::SimDriver driver(bench::envRuntimeOptions());
-    auto cells = driver.sweep(accs, {w}, /*include_fc=*/true);
+    auto cells = runtime::sweep(accs, {w}, /*include_fc=*/true);
 
     // steps[3] is the full design; steps[0] the dense baseline.
     const double full_saving =

@@ -43,7 +43,7 @@ main()
     // a training epoch with the SmartExchange projection. The runtime
     // pipeline fans the per-layer decompositions across the cores
     // (bit-identical to the serial path).
-    runtime::CompressionPipeline pipe(bench::envRuntimeOptions());
+    runtime::CompressionPipeline pipe(runtime::RuntimeOptions::fromEnv());
     auto report = pipe.run(*net, opts, core::ApplyOptions{});
     core::TrainConfig ft;
     ft.epochs = 2;

@@ -11,12 +11,15 @@
 
 #include "base/table.hh"
 #include "bench_util.hh"
+#include "runtime/options.hh"
 #include "runtime/sim_driver.hh"
 
 int
 main()
 {
     using namespace se;
+    // Refuse a malformed or unknown SE_* variable before any output.
+    runtime::RuntimeOptions::fromEnv();
 
     auto accs = bench::paperAccelerators();
     auto ids = models::acceleratorBenchmarkModels();
@@ -34,11 +37,10 @@ main()
 
     // One batched sweep over every (accelerator, model) cell; DianNao
     // (row 0) is the normalization reference.
-    runtime::SimDriver driver(bench::envRuntimeOptions());
     auto cells =
-        driver.sweep(accs, bench::annotatedWorkloads(ids),
-                     /*include_fc=*/false,
-                     bench::scnnEffNetSkip(accs, ids));
+        runtime::sweep(accs, bench::annotatedWorkloads(ids),
+                      /*include_fc=*/false,
+                      bench::scnnEffNetSkip(accs, ids));
 
     for (size_t ai = 0; ai < accs.size(); ++ai) {
         t.row().cell(accs[ai]->name());

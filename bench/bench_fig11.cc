@@ -11,12 +11,15 @@
 
 #include "base/table.hh"
 #include "bench_util.hh"
+#include "runtime/options.hh"
 #include "runtime/sim_driver.hh"
 
 int
 main()
 {
     using namespace se;
+    // Refuse a malformed or unknown SE_* variable before any output.
+    runtime::RuntimeOptions::fromEnv();
 
     auto accs = bench::paperAccelerators();
     auto ids = models::acceleratorBenchmarkModels();
@@ -33,11 +36,10 @@ main()
     Table t(header);
 
     // One batched sweep; SmartExchange (last row) is the reference.
-    runtime::SimDriver driver(bench::envRuntimeOptions());
     auto cells =
-        driver.sweep(accs, bench::annotatedWorkloads(ids),
-                     /*include_fc=*/false,
-                     bench::scnnEffNetSkip(accs, ids));
+        runtime::sweep(accs, bench::annotatedWorkloads(ids),
+                      /*include_fc=*/false,
+                      bench::scnnEffNetSkip(accs, ids));
     const size_t se_row = accs.size() - 1;
 
     for (size_t ai = 0; ai < accs.size(); ++ai) {

@@ -10,12 +10,15 @@
 
 #include "base/table.hh"
 #include "bench_util.hh"
+#include "runtime/options.hh"
 #include "runtime/sim_driver.hh"
 
 int
 main()
 {
     using namespace se;
+    // Refuse a malformed or unknown SE_* variable before any output.
+    runtime::RuntimeOptions::fromEnv();
 
     auto accs = bench::paperAccelerators();
     auto ids = models::acceleratorBenchmarkModels();
@@ -32,11 +35,10 @@ main()
     Table t(header);
 
     // One batched sweep; DianNao (row 0) sets the cycle reference.
-    runtime::SimDriver driver(bench::envRuntimeOptions());
     auto cells =
-        driver.sweep(accs, bench::annotatedWorkloads(ids),
-                     /*include_fc=*/false,
-                     bench::scnnEffNetSkip(accs, ids));
+        runtime::sweep(accs, bench::annotatedWorkloads(ids),
+                      /*include_fc=*/false,
+                      bench::scnnEffNetSkip(accs, ids));
 
     for (size_t ai = 0; ai < accs.size(); ++ai) {
         t.row().cell(accs[ai]->name());

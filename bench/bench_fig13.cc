@@ -13,6 +13,7 @@
 
 #include "base/table.hh"
 #include "bench_util.hh"
+#include "runtime/options.hh"
 #include "runtime/sim_driver.hh"
 
 namespace {
@@ -31,10 +32,9 @@ breakdown(bool include_fc, const char *title)
     Table t(header);
 
     // Batched one-accelerator sweep across the seven models.
-    runtime::SimDriver driver(bench::envRuntimeOptions());
     const std::vector<const accel::Accelerator *> accs{&acc};
     auto cells =
-        driver.sweep(accs, bench::annotatedWorkloads(ids), include_fc);
+        runtime::sweep(accs, bench::annotatedWorkloads(ids), include_fc);
 
     for (size_t c = 0; c < sim::kNumComponents; ++c) {
         t.row().cell(sim::componentName((sim::Component)c));
@@ -51,6 +51,8 @@ breakdown(bool include_fc, const char *title)
 int
 main()
 {
+    // Refuse a malformed or unknown SE_* variable before any output.
+    se::runtime::RuntimeOptions::fromEnv();
     std::printf("=== Fig. 13: SmartExchange accelerator energy "
                 "breakdown ===\n");
     breakdown(false,

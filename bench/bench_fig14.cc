@@ -12,6 +12,7 @@
 
 #include "base/table.hh"
 #include "bench_util.hh"
+#include "runtime/options.hh"
 #include "runtime/sim_driver.hh"
 
 int
@@ -19,6 +20,8 @@ main()
 {
     using namespace se;
     using sim::Component;
+    // Refuse a malformed or unknown SE_* variable before any output.
+    runtime::RuntimeOptions::fromEnv();
 
     accel::SmartExchangeAccel acc;
     const double ratios[] = {0.45, 0.517, 0.575, 0.60};
@@ -38,8 +41,7 @@ main()
         }
         sweeps.push_back(std::move(w));
     }
-    runtime::SimDriver driver(bench::envRuntimeOptions());
-    auto cells = driver.sweep({&acc}, sweeps, /*include_fc=*/true);
+    auto cells = runtime::sweep({&acc}, sweeps, /*include_fc=*/true);
 
     const double base_energy = cells[0][0].stats.totalEnergyPj();
     const double base_cycles = (double)cells[0][0].stats.cycles;

@@ -11,12 +11,15 @@
 
 #include "base/table.hh"
 #include "bench_util.hh"
+#include "runtime/options.hh"
 #include "runtime/sim_driver.hh"
 
 int
 main()
 {
     using namespace se;
+    // Refuse a malformed or unknown SE_* variable before any output.
+    runtime::RuntimeOptions::fromEnv();
 
     accel::SeAccelOptions with, without;
     without.dedicatedCompactSupport = false;
@@ -53,10 +56,9 @@ main()
         singles.push_back(std::move(one));
         kept.push_back(p);
     }
-    runtime::SimDriver driver(bench::envRuntimeOptions());
     const std::vector<const accel::Accelerator *> accs{&acc_without,
                                                        &acc_with};
-    auto cells = driver.sweep(accs, singles);
+    auto cells = runtime::sweep(accs, singles);
 
     for (size_t i = 0; i < kept.size(); ++i) {
         const size_t p = kept[i];

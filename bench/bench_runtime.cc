@@ -2,12 +2,16 @@
  * @file
  * Runtime-layer wall-clock benchmark. Emits JSON (one object to
  * stdout) timing the same multi-layer SmartExchange decomposition
- * sweep three ways — legacy serial path, N-thread CompressionPipeline,
- * and a cache-warm re-run — plus a batched accelerator sweep through
- * SimDriver. Future PRs diff these numbers to track the perf
- * trajectory.
+ * sweep three ways — core::applySmartExchange, CompressionPipeline at
+ * kernel-pool widths 1, 2, 4 .. max_threads, and a cache-warm re-run
+ * — plus a batched accelerator sweep through runtime::sweep at width
+ * 1 and max_threads. Each width is set with kernels::configureThreads.
  *
  * Usage: ./bench_runtime [--smoke] [max_threads]
+ *
+ * The full run exits non-zero when any pipeline or cache_warm row
+ * differs from the applySmartExchange weights ("pass": false), so a
+ * width-dependent result cannot pass as a timing row.
  *
  * --smoke runs the serial reference and the masked_refit section
  * only, and exits non-zero unless the GEMM-backed ALS refit beats the
@@ -28,6 +32,7 @@
 #include "base/hash.hh"
 #include "base/random.hh"
 #include "bench_util.hh"
+#include "kernels/kernels.hh"
 #include "linalg/linalg.hh"
 #include "reference/reference.hh"
 #include "runtime/pipeline.hh"
@@ -85,7 +90,7 @@ main(int argc, char **argv)
     se_opts.vectorThreshold = 0.01;
     core::ApplyOptions apply_opts;
 
-    // --- serial reference (the legacy path, no runtime layer) -------
+    // --- serial reference (core::applySmartExchange, no runtime) -----
     auto serial_net = makeSubject();
     auto t0 = Clock::now();
     auto serial_report =
@@ -157,6 +162,7 @@ main(int argc, char **argv)
     }
 
     // --- pipeline at 1..max_threads ---------------------------------
+    bool all_identical = true;
     std::printf("  \"pipeline\": [\n");
     std::vector<int> thread_counts;
     for (int t = 1; t <= max_threads; t *= 2)
@@ -165,14 +171,14 @@ main(int argc, char **argv)
         thread_counts.push_back(max_threads);
     for (size_t i = 0; i < thread_counts.size(); ++i) {
         const int threads = thread_counts[i];
-        runtime::RuntimeOptions ro;
-        ro.threads = threads;
-        runtime::CompressionPipeline pipe(ro);
+        kernels::configureThreads(threads);
+        runtime::CompressionPipeline pipe;
         auto net = makeSubject();
         t0 = Clock::now();
         pipe.run(*net, se_opts, apply_opts);
         const double ms = msSince(t0);
         const bool identical = weightDigest(*net) == serial_digest;
+        all_identical = all_identical && identical;
         std::printf("    {\"threads\": %d, \"units\": %zu, "
                     "\"ms\": %.2f, \"speedup\": %.2f, "
                     "\"bit_identical\": %s}%s\n",
@@ -184,8 +190,8 @@ main(int argc, char **argv)
 
     // --- cache-warm re-run (the ablation / design-scan pattern) -----
     {
+        kernels::configureThreads(max_threads);
         runtime::RuntimeOptions ro;
-        ro.threads = max_threads;
         ro.cacheCapacity = 65536;
         runtime::CompressionPipeline pipe(ro);
         auto warm_net = makeSubject();
@@ -195,16 +201,16 @@ main(int argc, char **argv)
         t0 = Clock::now();
         pipe.run(*net, se_opts, apply_opts);
         const double ms = msSince(t0);
+        const bool identical = weightDigest(*net) == serial_digest;
+        all_identical = all_identical && identical;
         std::printf("  \"cache_warm\": {\"ms\": %.2f, "
                     "\"speedup\": %.2f, \"hits\": %zu, "
                     "\"units\": %zu, \"bit_identical\": %s},\n",
                     ms, serial_ms / ms, pipe.stats().cacheHits,
-                    pipe.stats().units,
-                    bench::jsonBool(weightDigest(*net) ==
-                                    serial_digest));
+                    pipe.stats().units, bench::jsonBool(identical));
     }
 
-    // --- batched accelerator sweep through SimDriver ----------------
+    // --- batched accelerator sweep through runtime::sweep -----------
     {
         auto accs = bench::paperAccelerators();
         auto ids = models::acceleratorBenchmarkModels();
@@ -212,29 +218,25 @@ main(int argc, char **argv)
         auto skip = bench::scnnEffNetSkip(accs, ids);
         const int reps = 40;
 
-        runtime::RuntimeOptions serial_ro;
-        serial_ro.threads = 0;
-        runtime::SimDriver serial_driver(serial_ro);
+        kernels::configureThreads(1);
         t0 = Clock::now();
         for (int r = 0; r < reps; ++r)
-            serial_driver.sweep(accs, workloads, false, skip);
+            runtime::sweep(accs, workloads, false, skip);
         const double sweep_serial_ms = msSince(t0);
 
-        runtime::RuntimeOptions par_ro;
-        par_ro.threads = max_threads;
-        runtime::SimDriver par_driver(par_ro);
+        kernels::configureThreads(max_threads);
         t0 = Clock::now();
         for (int r = 0; r < reps; ++r)
-            par_driver.sweep(accs, workloads, false, skip);
+            runtime::sweep(accs, workloads, false, skip);
         const double sweep_par_ms = msSince(t0);
 
         std::printf("  \"sim_sweep\": {\"cells\": %zu, \"reps\": %d, "
                     "\"serial_ms\": %.2f, \"threads\": %d, "
-                    "\"parallel_ms\": %.2f, \"speedup\": %.2f}\n",
+                    "\"parallel_ms\": %.2f, \"speedup\": %.2f},\n",
                     accs.size() * workloads.size(), reps,
                     sweep_serial_ms, max_threads, sweep_par_ms,
                     sweep_serial_ms / sweep_par_ms);
     }
-    std::printf("}\n");
-    return 0;
+    std::printf("  \"pass\": %s\n}\n", bench::jsonBool(all_identical));
+    return all_identical ? 0 : 1;
 }

@@ -84,7 +84,7 @@ main(int argc, char **argv)
         }
         // Decompose through the thread-pooled runtime pipeline
         // (bit-identical to the serial path).
-        runtime::CompressionPipeline pipe(bench::envRuntimeOptions());
+        runtime::CompressionPipeline pipe(runtime::RuntimeOptions::fromEnv());
         rc.applyFn = [&pipe](nn::Sequential &n,
                              const core::SeOptions &o,
                              const core::ApplyOptions &a) {

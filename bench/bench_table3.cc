@@ -35,7 +35,7 @@ main()
         rc.rounds = 3;
         // Decompose through the thread-pooled runtime pipeline
         // (bit-identical to the serial path).
-        runtime::CompressionPipeline pipe(bench::envRuntimeOptions());
+        runtime::CompressionPipeline pipe(runtime::RuntimeOptions::fromEnv());
         rc.applyFn = [&pipe](nn::Sequential &n,
                              const core::SeOptions &o,
                              const core::ApplyOptions &a) {

@@ -21,7 +21,6 @@
 #include "accel/smartexchange_accel.hh"
 #include "core/trainer.hh"
 #include "models/zoo.hh"
-#include "runtime/options.hh"
 
 namespace se {
 namespace bench {
@@ -44,18 +43,6 @@ inline const char *
 jsonSep(size_t index, size_t count)
 {
     return index + 1 < count ? "," : "";
-}
-
-/**
- * Runtime options for the bench drivers: SE_THREADS in the environment
- * overrides (0 = legacy serial path); the default is one worker per
- * core. Sweep results are bit-identical either way — the knob only
- * moves wall-clock.
- */
-inline runtime::RuntimeOptions
-envRuntimeOptions()
-{
-    return runtime::RuntimeOptions::fromEnv();
 }
 
 /** The five accelerators of the paper's comparison, in figure order. */

@@ -38,10 +38,7 @@ main()
     // The whole 5-accelerator x 7-model grid in one batched sweep.
     // SCNN cannot run the squeeze-excite network (paper protocol:
     // Eff-B0 excluded for SCNN).
-    runtime::RuntimeOptions ro;
-    ro.threads = -1;  // one worker per core
-    runtime::SimDriver driver(ro);
-    auto cells = driver.sweep(
+    auto cells = runtime::sweep(
         accs, workloads, /*include_fc=*/false,
         [&](size_t ai, size_t wi) {
             return accs[ai]->name() == "SCNN" &&

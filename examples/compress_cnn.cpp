@@ -48,11 +48,10 @@ main()
     apply_opts.channelGammaThreshold = 0.05;
     core::SeRetrainConfig rc;
     rc.rounds = 4;
-    // Run every SE projection through the thread-pooled runtime
-    // pipeline; the output is bit-identical to the serial path.
-    runtime::RuntimeOptions ro;
-    ro.threads = -1;  // one worker per core
-    runtime::CompressionPipeline pipe(ro);
+    // Run every SE projection through the runtime pipeline, which
+    // fans out on the kernel pool (SE_THREADS wide); the output is
+    // bit-identical to the serial path.
+    runtime::CompressionPipeline pipe;
     rc.applyFn = [&pipe](nn::Sequential &n, const core::SeOptions &o,
                          const core::ApplyOptions &a) {
         return pipe.run(n, o, a);

@@ -56,10 +56,7 @@ main()
             std::make_unique<CustomGeometry>(g[0], g[1], g[2]));
         accs.push_back(variants.back().get());
     }
-    runtime::RuntimeOptions ro;
-    ro.threads = -1;  // one worker per core
-    runtime::SimDriver driver(ro);
-    auto cells = driver.sweep(
+    auto cells = runtime::sweep(
         accs, {accel::annotatedWorkload(models::ModelId::ResNet50)},
         /*include_fc=*/false);
 

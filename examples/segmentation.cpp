@@ -42,10 +42,9 @@ main()
 
     core::SeOptions se_opts;
     se_opts.vectorThreshold = 0.015;
-    // Thread-pooled decomposition; bit-identical to the serial path.
-    runtime::RuntimeOptions ro;
-    ro.threads = -1;  // one worker per core
-    runtime::CompressionPipeline pipe(ro);
+    // Decomposition fanned out on the kernel pool (SE_THREADS wide);
+    // bit-identical to the serial path.
+    runtime::CompressionPipeline pipe;
     auto report = pipe.run(*net, se_opts, core::ApplyOptions{});
     const double miou_se = core::evaluateSegmenter(*net, task.test);
 

@@ -66,13 +66,14 @@ KernelIsa detectBestIsa();
 
 /**
  * The process-wide active level: SE_KERNEL_ISA if set (fatal on a bad
- * value — benches/tests that want a catchable error go through
- * RuntimeOptions::fromEnv), else detectBestIsa().
+ * value — drivers that want a catchable error call
+ * RuntimeOptions::fromEnv first, which validates it), else
+ * detectBestIsa().
  */
 KernelIsa activeIsa();
 
 /**
- * Override the active level (benches, tests, RuntimeOptions).
+ * Override the active level (benches, tests).
  * Throws std::invalid_argument if the level is not supported here.
  * Must not race in-flight kernels; results are identical for any
  * level by construction.

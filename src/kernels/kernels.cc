@@ -85,7 +85,7 @@ configureThreads(int threads)
     // idles until process exit.
     if (g_pool)
         g_retired_pools.push_back(std::move(g_pool));
-    g_pool = std::make_unique<ThreadPool>(threads < 1 ? 1 : threads);
+    g_pool = std::make_unique<ThreadPool>(poolWidth(threads));
 }
 
 SerialScope::SerialScope() : prev_(serialFlag())

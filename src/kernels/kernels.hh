@@ -5,8 +5,10 @@
  * outer fan-out layers off it.
  *
  * SE_THREADS sets the pool width when the pool is first used: 0 or 1
- * => one worker (serial), negative or unset => one worker per core
- * (the RuntimeOptions convention). A malformed value throws.
+ * => one worker (serial), negative or unset => one worker per core.
+ * A malformed value throws. This is the process's one width control:
+ * the GEMM panels, CompressionPipeline's units and runtime::sweep's
+ * cells all fan out here.
  *
  * Every kernel is deterministic and thread-count invariant: each
  * output element is accumulated by exactly one worker in a fixed
@@ -27,23 +29,25 @@ namespace kernels {
  * Parse SE_THREADS strictly: unset means -1 ("one worker per core");
  * anything that is not a whole int with no trailing characters
  * (SE_THREADS=four, 4x, "", 4294967296) throws std::invalid_argument.
- * The one parser behind both the kernel pool and
- * RuntimeOptions::fromEnv; each caller maps the value itself.
+ * The one parser of SE_THREADS: pool() sizes itself with it and
+ * RuntimeOptions::fromEnv calls it to reject a typo early.
  */
 int threadsFromEnv();
 
 /**
- * The shared kernel pool, lazily built with SE_THREADS workers.
- * Distinct from the serve/pipeline pools: those fan out whole tasks
- * (requests, per-matrix decompositions) and their workers block on
- * this pool's GEMM panels only through the nested-parallelism guard
- * or a SerialScope.
+ * The shared kernel pool, lazily built with SE_THREADS workers. It
+ * runs both GEMM panels and whole tasks (CompressionPipeline's
+ * per-matrix decompositions, runtime::sweep's cells); a task that
+ * reaches a GEMM runs it inline through the nested-parallelism guard
+ * or a SerialScope. ServeEngine keeps a pool of its own for requests.
  */
 ThreadPool &pool();
 
 /**
- * Resize the kernel pool (test hook). Must not race in-flight
- * kernels; results are identical for any width by construction.
+ * Resize the kernel pool, mapping `threads` exactly as SE_THREADS is
+ * mapped (negative => one worker per core, 0 => one worker). Must
+ * not race in-flight kernels; results are identical for any width by
+ * construction.
  */
 void configureThreads(int threads);
 

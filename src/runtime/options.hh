@@ -6,12 +6,14 @@
 #ifndef SE_RUNTIME_OPTIONS_HH
 #define SE_RUNTIME_OPTIONS_HH
 
+#include <unistd.h>
+
+#include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstdlib>
-#include <optional>
 #include <stdexcept>
 #include <string>
-#include <thread>
 
 #include "base/env.hh"
 #include "base/failpoint.hh"
@@ -21,32 +23,28 @@
 namespace se {
 namespace runtime {
 
-/** Execution policy for the runtime drivers. */
+/**
+ * Every SE_* environment variable libse reads. RuntimeOptions::fromEnv
+ * refuses any other SE_* name, so a retired or misspelled knob stops
+ * the run instead of being silently ignored.
+ */
+inline constexpr std::array<const char *, 6> kLiveKnobs{
+    "SE_THREADS",           "SE_KERNEL_ISA", "SE_SERVE_QUEUE_CAP",
+    "SE_SERVE_DEADLINE_MS", "SE_CACHE_DIR",  "SE_FAILPOINTS"};
+
+/**
+ * Execution policy for the runtime drivers. Pool width and kernel ISA
+ * are not here: SE_THREADS (kernels::configureThreads) and
+ * SE_KERNEL_ISA (kernels::setActiveIsa) are their only controls.
+ */
 struct RuntimeOptions
 {
-    /**
-     * Worker threads. 0 selects the legacy serial path (no pool, no
-     * task plumbing, cache bypassed — byte-for-byte the pre-runtime
-     * behaviour); negative means "one per hardware core".
-     */
-    int threads = 0;
     /**
      * Decomposition-cache capacity in entries; 0 disables caching.
      * Repeated sweeps (ablations, design-space scans) with identical
      * (weights, options) inputs then skip the ALS loop entirely.
-     * Ignored on the legacy path (threads = 0).
      */
     size_t cacheCapacity = 0;
-    /**
-     * Which micro-kernel ISA variant the GEMM layer runs
-     * (SE_KERNEL_ISA = auto | scalar | avx2). Empty (the
-     * default) leaves the process-wide selection alone — dispatch
-     * already initialized itself from SE_KERNEL_ISA at startup, so
-     * this field only matters for programmatic overrides via
-     * applyKernelConfig(). Every variant is bit-identical; the knob
-     * moves wall-clock only. Requesting an ISA the CPU lacks throws.
-     */
-    std::optional<kernels::KernelIsa> kernelIsa;
     /**
      * Serving admission cap (SE_SERVE_QUEUE_CAP in the environment):
      * requests beyond this many queued-but-undispatched ones are shed
@@ -81,19 +79,11 @@ struct RuntimeOptions
      */
     std::string failpoints;
 
-    /** Install kernelIsa, when set, as the process-wide ISA. */
-    void
-    applyKernelConfig() const
-    {
-        if (kernelIsa)
-            kernels::setActiveIsa(*kernelIsa);
-    }
-
     /**
      * Arm exactly the failpoints of `failpoints` process-wide
      * (disarming anything armed before). Driver binaries call this
-     * next to applyKernelConfig() so SE_FAILPOINTS reaches the
-     * library's injection sites.
+     * after fromEnv() so SE_FAILPOINTS reaches the library's
+     * injection sites.
      */
     void
     applyFailpoints() const
@@ -101,37 +91,26 @@ struct RuntimeOptions
         failpoint::armFromSpec(failpoints);
     }
 
-    /** The thread count after resolving the "per core" sentinel. */
-    int
-    resolvedThreads() const
-    {
-        if (threads >= 0)
-            return threads;
-        const unsigned hc = std::thread::hardware_concurrency();
-        return hc > 0 ? (int)hc : 1;
-    }
-
     /**
-     * The convention every driver binary shares: one worker per core
-     * and a warm cache, with SE_THREADS in the environment overriding
-     * the thread count (0 = legacy serial path). Results never depend
-     * on that value — it only moves wall-clock.
+     * The convention every driver binary shares: a warm cache plus
+     * the SE_* knobs of the environment.
      *
-     * Every SE_* knob is parsed strictly: a value that is not fully
-     * recognized throws std::invalid_argument instead of being
-     * silently coerced to a default.
+     * Every SE_* variable is checked strictly: a name outside
+     * kLiveKnobs, or a value that is not fully recognized, throws
+     * std::invalid_argument instead of being silently ignored or
+     * coerced to a default. SE_THREADS and SE_KERNEL_ISA are only
+     * validated here; the kernel pool and dispatch read them
+     * themselves.
      */
     static RuntimeOptions
     fromEnv(size_t cache_capacity = 4096)
     {
-        RuntimeOptions ro;
-        // SE_THREADS shares the kernel pool's strict parser.
-        ro.threads = kernels::threadsFromEnv();
-        ro.cacheCapacity = cache_capacity;
-        // parseKernelIsa throws std::invalid_argument on anything it
-        // does not recognize, matching the other knobs' strictness.
+        refuseUnknownKnobs();
+        kernels::threadsFromEnv();
         if (const char *isa = std::getenv("SE_KERNEL_ISA"))
-            ro.kernelIsa = kernels::parseKernelIsa(isa);
+            kernels::parseKernelIsa(isa);
+        RuntimeOptions ro;
+        ro.cacheCapacity = cache_capacity;
         if (const char *c = std::getenv("SE_SERVE_QUEUE_CAP")) {
             const long long cap =
                 envInt("SE_SERVE_QUEUE_CAP", c);
@@ -158,6 +137,24 @@ struct RuntimeOptions
             ro.failpoints = fp;
         }
         return ro;
+    }
+
+  private:
+    /** Throw for the first SE_* variable that is not a live knob. */
+    static void
+    refuseUnknownKnobs()
+    {
+        for (char **e = environ; *e; ++e) {
+            const std::string var(*e);
+            if (var.compare(0, 3, "SE_") != 0)
+                continue;
+            const std::string name = var.substr(0, var.find('='));
+            if (std::find(kLiveKnobs.begin(), kLiveKnobs.end(), name) ==
+                kLiveKnobs.end())
+                throw std::invalid_argument(
+                    "unknown SE_* variable " + name +
+                    " (not a live knob; unset it)");
+        }
     }
 };
 

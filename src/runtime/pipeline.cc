@@ -12,20 +12,13 @@ CompressionPipeline::run(nn::Sequential &net,
 {
     stats_ = PipelineStats{};
 
-    const int threads = opts_.resolvedThreads();
-    if (threads == 0) {
-        // Legacy serial path, untouched (the cache is bypassed too:
-        // threads = 0 means "exactly the pre-runtime code").
-        return core::applySmartExchange(net, se_opts, apply_opts);
-    }
-
     core::CompressionPlan plan =
         core::planCompression(net, se_opts, apply_opts);
     std::vector<core::SeMatrix> results(plan.units.size());
     stats_.units = plan.units.size();
 
     const uint64_t hits_before = cache_.hits();
-    auto decompose = [&](int64_t i) {
+    kernels::parallelFor((int64_t)plan.units.size(), [&](int64_t i) {
         // One unit per worker already saturates the pool; the ALS
         // matmuls inside stay inline.
         kernels::SerialScope serial;
@@ -35,16 +28,7 @@ CompressionPipeline::run(nn::Sequential &net,
         else
             results[(size_t)i] =
                 core::decomposeMatrix(u.matrix, se_opts);
-    };
-
-    if (!pool_) {
-        for (int64_t i = 0; i < (int64_t)plan.units.size(); ++i)
-            decompose(i);
-        stats_.threadsUsed = threads;
-    } else {
-        pool_->parallelFor((int64_t)plan.units.size(), decompose);
-        stats_.threadsUsed = pool_->threadCount();
-    }
+    });
     stats_.cacheHits = (size_t)(cache_.hits() - hits_before);
 
     return core::finishCompression(plan, std::move(results), se_opts);

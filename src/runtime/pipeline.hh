@@ -3,21 +3,17 @@
  * The parallel compression pipeline.
  *
  * CompressionPipeline runs core::applySmartExchange's work — one
- * independent ALS decomposition per reshaped weight slice — across a
- * fixed-size thread pool, optionally through the decomposition cache,
- * and reassembles the CompressionReport deterministically. Because
- * decomposeMatrix is deterministic and every slice is independent, the
- * parallel result is bit-identical to the serial one; with
- * RuntimeOptions{threads = 0} the pipeline literally calls the legacy
- * serial path.
+ * independent ALS decomposition per reshaped weight slice — across the
+ * kernel pool (kernels::parallelFor, width SE_THREADS), optionally
+ * through the decomposition cache, and reassembles the
+ * CompressionReport deterministically. Because decomposeMatrix is
+ * deterministic and every slice is independent, the result is
+ * bit-identical to the serial one at any pool width.
  */
 
 #ifndef SE_RUNTIME_PIPELINE_HH
 #define SE_RUNTIME_PIPELINE_HH
 
-#include <memory>
-
-#include "base/thread_pool.hh"
 #include "core/apply.hh"
 #include "runtime/decomp_cache.hh"
 #include "runtime/options.hh"
@@ -30,7 +26,6 @@ struct PipelineStats
 {
     size_t units = 0;       ///< decomposition tasks executed
     size_t cacheHits = 0;   ///< tasks answered from the cache
-    int threadsUsed = 0;    ///< pool width (0 = legacy serial path)
 };
 
 class CompressionPipeline
@@ -40,11 +35,6 @@ class CompressionPipeline
         : opts_(opts),
           cache_(DecompCacheOptions{opts.cacheCapacity, opts.cacheDir})
     {
-        // The pool lives as long as the pipeline so repeated runs
-        // (re-training rounds, sweeps) don't re-spawn workers.
-        const int threads = opts_.resolvedThreads();
-        if (threads > 1)
-            pool_ = std::make_unique<ThreadPool>(threads);
     }
 
     /**
@@ -57,13 +47,11 @@ class CompressionPipeline
 
     const PipelineStats &stats() const { return stats_; }
     DecompCache &cache() { return cache_; }
-    const RuntimeOptions &options() const { return opts_; }
 
   private:
     RuntimeOptions opts_;
     DecompCache cache_;
     PipelineStats stats_;
-    std::unique_ptr<ThreadPool> pool_;  ///< null when <= 1 thread
 };
 
 } // namespace runtime

@@ -1,15 +1,14 @@
 #include "runtime/sim_driver.hh"
 
-#include "base/thread_pool.hh"
+#include "kernels/kernels.hh"
 
 namespace se {
 namespace runtime {
 
 SimResults
-SimDriver::sweep(const std::vector<const accel::Accelerator *> &accs,
-                 const std::vector<sim::Workload> &workloads,
-                 bool include_fc,
-                 const std::function<bool(size_t, size_t)> &skip) const
+sweep(const std::vector<const accel::Accelerator *> &accs,
+      const std::vector<sim::Workload> &workloads, bool include_fc,
+      const std::function<bool(size_t, size_t)> &skip)
 {
     const size_t na = accs.size(), nw = workloads.size();
     SimResults cells(na, std::vector<SimCell>(nw));
@@ -17,30 +16,21 @@ SimDriver::sweep(const std::vector<const accel::Accelerator *> &accs,
     // One task per (accelerator, workload) cell. Each cell accumulates
     // its layers serially in network order, exactly like runNetwork,
     // so the parallel sweep is bit-identical to the serial one.
-    auto run_cell = [&](int64_t flat) {
+    kernels::parallelFor((int64_t)(na * nw), [&](int64_t flat) {
         const size_t ai = (size_t)flat / nw, wi = (size_t)flat % nw;
         if (skip && skip(ai, wi))
             return;
         SimCell &cell = cells[ai][wi];
         cell.stats = accs[ai]->runNetwork(workloads[wi], include_fc);
         cell.run = true;
-    };
-
-    const int64_t n = (int64_t)(na * nw);
-    if (!pool_) {
-        for (int64_t i = 0; i < n; ++i)
-            run_cell(i);
-    } else {
-        pool_->parallelFor(n, run_cell);
-    }
+    });
     return cells;
 }
 
 SimResults
-SimDriver::sweep(const std::vector<accel::AcceleratorPtr> &accs,
-                 const std::vector<sim::Workload> &workloads,
-                 bool include_fc,
-                 const std::function<bool(size_t, size_t)> &skip) const
+sweep(const std::vector<accel::AcceleratorPtr> &accs,
+      const std::vector<sim::Workload> &workloads, bool include_fc,
+      const std::function<bool(size_t, size_t)> &skip)
 {
     std::vector<const accel::Accelerator *> raw;
     raw.reserve(accs.size());
@@ -50,21 +40,13 @@ SimDriver::sweep(const std::vector<accel::AcceleratorPtr> &accs,
 }
 
 sim::RunStats
-SimDriver::runLayers(const accel::Accelerator &acc,
-                     const std::vector<sim::LayerShape> &layers) const
+runLayers(const accel::Accelerator &acc,
+          const std::vector<sim::LayerShape> &layers)
 {
-    const int64_t n = (int64_t)layers.size();
-    std::vector<sim::RunStats> per((size_t)n);
-    auto run_one = [&](int64_t i) {
+    std::vector<sim::RunStats> per(layers.size());
+    kernels::parallelFor((int64_t)layers.size(), [&](int64_t i) {
         per[(size_t)i] = acc.runLayer(layers[(size_t)i]);
-    };
-
-    if (!pool_) {
-        for (int64_t i = 0; i < n; ++i)
-            run_one(i);
-    } else {
-        pool_->parallelFor(n, run_one);
-    }
+    });
 
     // Reduce in layer order: deterministic and equal to the serial
     // accumulation.

@@ -4,23 +4,21 @@
  *
  * Every figure/table bench and example used to hand-roll the same
  * nested loop: for each accelerator, for each workload, sum runLayer()
- * over the layers. SimDriver owns that loop once, fans the
- * (accelerator, workload) cells out across a thread pool, and returns
- * the full result matrix. Accelerator::runLayer is const and
- * side-effect free, and each cell accumulates its own RunStats in
- * layer order, so parallel results are identical to serial ones.
+ * over the layers. sweep() owns that loop once, fans the
+ * (accelerator, workload) cells out across the kernel pool
+ * (kernels::parallelFor, width SE_THREADS), and returns the full
+ * result matrix. Accelerator::runLayer is const and side-effect free,
+ * and each cell accumulates its own RunStats in layer order, so the
+ * results are identical at any pool width.
  */
 
 #ifndef SE_RUNTIME_SIM_DRIVER_HH
 #define SE_RUNTIME_SIM_DRIVER_HH
 
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "accel/accelerator.hh"
-#include "base/thread_pool.hh"
-#include "runtime/options.hh"
 
 namespace se {
 namespace runtime {
@@ -35,52 +33,30 @@ struct SimCell
 /** Result matrix of a sweep: cells[accelerator][workload]. */
 using SimResults = std::vector<std::vector<SimCell>>;
 
-class SimDriver
-{
-  public:
-    explicit SimDriver(RuntimeOptions opts = {}) : opts_(opts)
-    {
-        // The pool lives as long as the driver so repeated sweeps
-        // don't re-spawn workers.
-        const int threads = opts_.resolvedThreads();
-        if (threads > 1)
-            pool_ = std::make_unique<ThreadPool>(threads);
-    }
+/**
+ * Run every accelerator over every workload. `skip(ai, wi)` may
+ * exclude pairs (e.g. the paper's SCNN-on-EfficientNet protocol
+ * hole); excluded cells come back with run == false.
+ */
+SimResults
+sweep(const std::vector<const accel::Accelerator *> &accs,
+      const std::vector<sim::Workload> &workloads,
+      bool include_fc = true,
+      const std::function<bool(size_t, size_t)> &skip = nullptr);
 
-    /**
-     * Run every accelerator over every workload. `skip(ai, wi)` may
-     * exclude pairs (e.g. the paper's SCNN-on-EfficientNet protocol
-     * hole); excluded cells come back with run == false.
-     */
-    SimResults
-    sweep(const std::vector<const accel::Accelerator *> &accs,
-          const std::vector<sim::Workload> &workloads,
-          bool include_fc = true,
-          const std::function<bool(size_t, size_t)> &skip = nullptr)
-        const;
+/** Convenience overload for owning-pointer accelerator lists. */
+SimResults
+sweep(const std::vector<accel::AcceleratorPtr> &accs,
+      const std::vector<sim::Workload> &workloads,
+      bool include_fc = true,
+      const std::function<bool(size_t, size_t)> &skip = nullptr);
 
-    /** Convenience overload for owning-pointer accelerator lists. */
-    SimResults
-    sweep(const std::vector<accel::AcceleratorPtr> &accs,
-          const std::vector<sim::Workload> &workloads,
-          bool include_fc = true,
-          const std::function<bool(size_t, size_t)> &skip = nullptr)
-        const;
-
-    /**
-     * Aggregate a batch of layers on one accelerator (layer order
-     * preserved, so the sum equals serial runLayer accumulation).
-     */
-    sim::RunStats
-    runLayers(const accel::Accelerator &acc,
-              const std::vector<sim::LayerShape> &layers) const;
-
-    const RuntimeOptions &options() const { return opts_; }
-
-  private:
-    RuntimeOptions opts_;
-    std::unique_ptr<ThreadPool> pool_;  ///< null when <= 1 thread
-};
+/**
+ * Aggregate a batch of layers on one accelerator (layer order
+ * preserved, so the sum equals serial runLayer accumulation).
+ */
+sim::RunStats runLayers(const accel::Accelerator &acc,
+                        const std::vector<sim::LayerShape> &layers);
 
 } // namespace runtime
 } // namespace se

@@ -17,6 +17,7 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -133,6 +134,21 @@ TEST(Kernels, GemmThreadCountInvariant)
     Tensor threaded = kernels::gemm(a, b);
     kernels::configureThreads(1);
     EXPECT_TRUE(bitEqual(serial, threaded));
+}
+
+TEST(Kernels, ConfigureThreadsMapsWidthsLikeSeThreads)
+{
+    // configureThreads takes SE_THREADS's convention: negative => one
+    // worker per core, 0 => one worker.
+    const int before = kernels::pool().threadCount();
+    const unsigned hc = std::thread::hardware_concurrency();
+    kernels::configureThreads(-1);
+    EXPECT_EQ(kernels::pool().threadCount(), hc > 0 ? (int)hc : 1);
+    kernels::configureThreads(0);
+    EXPECT_EQ(kernels::pool().threadCount(), 1);
+    kernels::configureThreads(3);
+    EXPECT_EQ(kernels::pool().threadCount(), 3);
+    kernels::configureThreads(before);
 }
 
 // ------------------------------------------------------------- Conv2d

@@ -2,7 +2,8 @@
  * @file
  * Tests of the se::runtime layer: thread pool, content hashing, the
  * decomposition cache, the parallel compression pipeline (bit-identical
- * to the serial path), and the batched simulation driver.
+ * to the serial path at every kernel-pool width), and the batched
+ * simulation sweep.
  */
 
 #include <gtest/gtest.h>
@@ -24,6 +25,8 @@
 #include "base/hash.hh"
 #include "base/random.hh"
 #include "base/thread_pool.hh"
+#include "kernels/dispatch.hh"
+#include "kernels/kernels.hh"
 #include "runtime/options.hh"
 #include "runtime/pipeline.hh"
 #include "runtime/sim_driver.hh"
@@ -63,7 +66,6 @@ TEST(RuntimeOptions, FromEnvParsesValidKnobs)
     ScopedEnv q("SE_SERVE_QUEUE_CAP", "128");
     ScopedEnv d("SE_SERVE_DEADLINE_MS", "2.5");
     const auto ro = runtime::RuntimeOptions::fromEnv();
-    EXPECT_EQ(ro.threads, 3);
     EXPECT_EQ(kernels::threadsFromEnv(), 3);
     EXPECT_EQ(ro.serveQueueCap, 128u);
     EXPECT_DOUBLE_EQ(ro.serveDeadlineMs, 2.5);
@@ -97,40 +99,51 @@ TEST(RuntimeOptions, FromEnvRejectsMalformedValues)
         // The kernel pool sizes itself through the same strict parser,
         // so a process that never calls fromEnv cannot fall back to a
         // one-worker pool on a typo either.
-        if (!std::strcmp(name, "SE_THREADS"))
+        if (!std::strcmp(name, "SE_THREADS")) {
             EXPECT_THROW(kernels::threadsFromEnv(), std::invalid_argument)
                 << name << "=" << value;
+        }
     }
 }
 
 TEST(RuntimeOptions, FromEnvKernelIsaForcedSelection)
 {
-    // SE_KERNEL_ISA=scalar is valid on every build; applyKernelConfig
-    // must install it process-wide, and the default (unset) env must
-    // leave the field empty so apply keeps the startup selection.
+    // fromEnv only validates SE_KERNEL_ISA: every supported name (and
+    // auto) is accepted, and the process-wide selection is left alone
+    // — dispatch reads the variable itself at startup.
     const kernels::KernelIsa before = kernels::activeIsa();
-    {
-        ScopedEnv isa("SE_KERNEL_ISA", "scalar");
-        const auto ro = runtime::RuntimeOptions::fromEnv();
-        ASSERT_TRUE(ro.kernelIsa.has_value());
-        EXPECT_EQ(*ro.kernelIsa, kernels::KernelIsa::Scalar);
-        ro.applyKernelConfig();
-        EXPECT_EQ(kernels::activeIsa(), kernels::KernelIsa::Scalar);
+    std::vector<std::string> names{"auto"};
+    for (kernels::KernelIsa isa : kernels::supportedIsas())
+        names.push_back(kernels::isaName(isa));
+    for (const std::string &name : names) {
+        ScopedEnv isa("SE_KERNEL_ISA", name.c_str());
+        EXPECT_NO_THROW(runtime::RuntimeOptions::fromEnv()) << name;
+        EXPECT_EQ(kernels::activeIsa(), before) << name;
     }
-    kernels::setActiveIsa(before);
-    {
-        ScopedEnv isa("SE_KERNEL_ISA", "auto");
-        const auto ro = runtime::RuntimeOptions::fromEnv();
-        ASSERT_TRUE(ro.kernelIsa.has_value());
-        EXPECT_EQ(*ro.kernelIsa, kernels::detectBestIsa());
+    if (!kernels::isaSupported(kernels::KernelIsa::Avx2)) {
+        ScopedEnv isa("SE_KERNEL_ISA", "avx2");
+        EXPECT_THROW(runtime::RuntimeOptions::fromEnv(),
+                     std::invalid_argument);
     }
-    {
-        ScopedEnv isa("SE_KERNEL_ISA", "unset-sentinel");
-        ::unsetenv("SE_KERNEL_ISA");
-        const auto ro = runtime::RuntimeOptions::fromEnv();
-        EXPECT_FALSE(ro.kernelIsa.has_value());
-        ro.applyKernelConfig();  // no-op on the ISA
-        EXPECT_EQ(kernels::activeIsa(), before);
+}
+
+TEST(RuntimeOptions, FromEnvRefusesUnknownSeVariables)
+{
+    // Retired knobs and a typo of a live one: each must stop the run
+    // with an error that names the variable, not be silently ignored.
+    for (const char *name :
+         {"SE_MODEL_FORMAT", "SE_SERVE_WEIGHT_SOURCE", "SE_PIPELINE",
+          "SE_CONV_IMPL", "SE_STREAM_LOADER", "SE_PREFETCH_DEPTH",
+          "SE_THREAD"}) {
+        ScopedEnv e(name, "1");
+        try {
+            runtime::RuntimeOptions::fromEnv();
+            ADD_FAILURE() << name << " was accepted";
+        } catch (const std::invalid_argument &err) {
+            EXPECT_NE(std::string(err.what()).find(name),
+                      std::string::npos)
+                << err.what();
+        }
     }
 }
 
@@ -510,6 +523,20 @@ expectIdenticalReports(const core::CompressionReport &a,
     }
 }
 
+/** Kernel-pool widths the runtime-layer tests sweep. */
+constexpr int kWidths[] = {1, 2, 4};
+
+/** Restores the kernel-pool width a test found on scope exit. */
+class RestorePoolWidth
+{
+  public:
+    RestorePoolWidth() : width_(kernels::pool().threadCount()) {}
+    ~RestorePoolWidth() { kernels::configureThreads(width_); }
+
+  private:
+    int width_;
+};
+
 TEST(CompressionPipeline, ParallelMatchesSerialBitForBit)
 {
     core::SeOptions se_opts;
@@ -522,35 +549,45 @@ TEST(CompressionPipeline, ParallelMatchesSerialBitForBit)
     auto report_serial =
         core::applySmartExchange(*serial_net, se_opts, apply_opts);
 
-    runtime::RuntimeOptions ro;
-    ro.threads = 4;
-    runtime::CompressionPipeline pipe(ro);
-    auto parallel_net = makeCnn(77);
-    auto report_parallel =
-        pipe.run(*parallel_net, se_opts, apply_opts);
+    const RestorePoolWidth restore;
+    for (int width : kWidths) {
+        SCOPED_TRACE("width " + std::to_string(width));
+        kernels::configureThreads(width);
+        runtime::CompressionPipeline pipe;
+        auto parallel_net = makeCnn(77);
+        auto report_parallel =
+            pipe.run(*parallel_net, se_opts, apply_opts);
 
-    EXPECT_EQ(pipe.stats().threadsUsed, 4);
-    EXPECT_GT(pipe.stats().units, 0u);
-    expectIdenticalWeights(*serial_net, *parallel_net);
-    expectIdenticalReports(report_serial, report_parallel);
+        EXPECT_GT(pipe.stats().units, 0u);
+        expectIdenticalWeights(*serial_net, *parallel_net);
+        expectIdenticalReports(report_serial, report_parallel);
+    }
 }
 
-TEST(CompressionPipeline, ZeroThreadsIsTheLegacySerialPath)
+TEST(CompressionPipeline, RunFansOutOnTheKernelPool)
 {
     core::SeOptions se_opts;
     se_opts.vectorThreshold = 0.01;
+    const RestorePoolWidth restore;
+    kernels::configureThreads(2);
+    runtime::CompressionPipeline pipe;
 
-    auto serial_net = makeCnn(78);
-    auto report_serial = core::applySmartExchange(
-        *serial_net, se_opts, core::ApplyOptions{});
+    auto net = makeCnn(80);
+    const uint64_t before = kernels::pool().tasksExecuted();
+    pipe.run(*net, se_opts, core::ApplyOptions{});
+    ASSERT_GT(pipe.stats().units, 1u);
+    EXPECT_GT(kernels::pool().tasksExecuted(), before);
 
-    runtime::CompressionPipeline pipe;  // threads = 0
-    auto fallback_net = makeCnn(78);
-    auto report_fallback =
-        pipe.run(*fallback_net, se_opts, core::ApplyOptions{});
-
-    expectIdenticalWeights(*serial_net, *fallback_net);
-    expectIdenticalReports(report_serial, report_fallback);
+    // Under a SerialScope every unit, and every GEMM inside it, runs
+    // inline on the caller: the pool sees no task.
+    auto serial_net = makeCnn(80);
+    const uint64_t serial_before = kernels::pool().tasksExecuted();
+    {
+        kernels::SerialScope serial;
+        pipe.run(*serial_net, se_opts, core::ApplyOptions{});
+    }
+    EXPECT_EQ(kernels::pool().tasksExecuted(), serial_before);
+    expectIdenticalWeights(*net, *serial_net);
 }
 
 TEST(CompressionPipeline, CacheAnswersRepeatedSweeps)
@@ -558,29 +595,43 @@ TEST(CompressionPipeline, CacheAnswersRepeatedSweeps)
     core::SeOptions se_opts;
     se_opts.vectorThreshold = 0.01;
 
-    runtime::RuntimeOptions ro;
-    ro.threads = 2;
-    ro.cacheCapacity = 4096;
-    runtime::CompressionPipeline pipe(ro);
+    const RestorePoolWidth restore;
+    for (int width : kWidths) {
+        SCOPED_TRACE("width " + std::to_string(width));
+        kernels::configureThreads(width);
+        runtime::RuntimeOptions ro;
+        ro.cacheCapacity = 4096;
+        runtime::CompressionPipeline pipe(ro);
 
-    auto net1 = makeCnn(79);
-    auto report1 = pipe.run(*net1, se_opts, core::ApplyOptions{});
-    EXPECT_EQ(pipe.stats().cacheHits, 0u);
-    const size_t units = pipe.stats().units;
+        auto net1 = makeCnn(79);
+        auto report1 = pipe.run(*net1, se_opts, core::ApplyOptions{});
+        EXPECT_EQ(pipe.stats().cacheHits, 0u);
+        const size_t units = pipe.stats().units;
 
-    // A fresh, identical network: every unit should hit the cache.
-    auto net2 = makeCnn(79);
-    auto report2 = pipe.run(*net2, se_opts, core::ApplyOptions{});
-    EXPECT_EQ(pipe.stats().units, units);
-    EXPECT_EQ(pipe.stats().cacheHits, units);
+        // A fresh, identical network: every unit should hit the cache.
+        auto net2 = makeCnn(79);
+        auto report2 = pipe.run(*net2, se_opts, core::ApplyOptions{});
+        EXPECT_EQ(pipe.stats().units, units);
+        EXPECT_EQ(pipe.stats().cacheHits, units);
 
-    expectIdenticalWeights(*net1, *net2);
-    expectIdenticalReports(report1, report2);
+        expectIdenticalWeights(*net1, *net2);
+        expectIdenticalReports(report1, report2);
+    }
 }
 
-// -------------------------------------------------------------- SimDriver
+// -------------------------------------------------------------- SimSweep
 
-TEST(SimDriver, LayerBatchEqualsSerialAccumulation)
+void
+expectIdenticalStats(const sim::RunStats &a, const sim::RunStats &b)
+{
+    EXPECT_EQ(a.cycles, b.cycles);
+    EXPECT_EQ(a.dramTrafficBits, b.dramTrafficBits);
+    for (size_t c = 0; c < sim::kNumComponents; ++c)
+        EXPECT_EQ(a.energyPj[c], b.energyPj[c])
+            << sim::componentName((sim::Component)c);
+}
+
+TEST(SimSweep, LayerBatchEqualsSerialAccumulation)
 {
     accel::SmartExchangeAccel acc;
     auto w = accel::annotatedWorkload(models::ModelId::MobileNetV2);
@@ -589,28 +640,20 @@ TEST(SimDriver, LayerBatchEqualsSerialAccumulation)
     for (const auto &l : w.layers)
         serial += acc.runLayer(l);
 
-    runtime::RuntimeOptions ro;
-    ro.threads = 4;
-    runtime::SimDriver driver(ro);
-    auto batched = driver.runLayers(acc, w.layers);
-
-    EXPECT_EQ(batched.cycles, serial.cycles);
-    EXPECT_EQ(batched.dramTrafficBits, serial.dramTrafficBits);
-    for (size_t c = 0; c < sim::kNumComponents; ++c)
-        EXPECT_EQ(batched.energyPj[c], serial.energyPj[c])
-            << sim::componentName((sim::Component)c);
+    const RestorePoolWidth restore;
+    for (int width : kWidths) {
+        SCOPED_TRACE("width " + std::to_string(width));
+        kernels::configureThreads(width);
+        expectIdenticalStats(runtime::runLayers(acc, w.layers), serial);
+    }
 }
 
-TEST(SimDriver, SweepIsBitIdenticalAcrossThreadCounts)
+TEST(SimSweep, SweepIsBitIdenticalAcrossThreadCounts)
 {
-    auto make_accs = [] {
-        std::vector<accel::AcceleratorPtr> accs;
-        accs.push_back(std::make_unique<accel::DianNao>());
-        accs.push_back(std::make_unique<accel::Scnn>());
-        accs.push_back(std::make_unique<accel::SmartExchangeAccel>());
-        return accs;
-    };
-    auto accs = make_accs();
+    std::vector<accel::AcceleratorPtr> accs;
+    accs.push_back(std::make_unique<accel::DianNao>());
+    accs.push_back(std::make_unique<accel::Scnn>());
+    accs.push_back(std::make_unique<accel::SmartExchangeAccel>());
     std::vector<sim::Workload> workloads;
     workloads.push_back(
         accel::annotatedWorkload(models::ModelId::VGG19));
@@ -619,34 +662,27 @@ TEST(SimDriver, SweepIsBitIdenticalAcrossThreadCounts)
     workloads.push_back(
         accel::annotatedWorkload(models::ModelId::MobileNetV2));
 
+    const RestorePoolWidth restore;
     std::vector<runtime::SimResults> all;
-    for (int threads : {0, 1, 8}) {
-        runtime::RuntimeOptions ro;
-        ro.threads = threads;
-        runtime::SimDriver driver(ro);
-        all.push_back(driver.sweep(accs, workloads, true));
+    for (int width : kWidths) {
+        kernels::configureThreads(width);
+        all.push_back(runtime::sweep(accs, workloads, true));
     }
     for (size_t v = 1; v < all.size(); ++v) {
         ASSERT_EQ(all[v].size(), all[0].size());
         for (size_t ai = 0; ai < all[0].size(); ++ai)
             for (size_t wi = 0; wi < all[0][ai].size(); ++wi) {
-                const auto &a = all[0][ai][wi];
-                const auto &b = all[v][ai][wi];
-                ASSERT_EQ(a.run, b.run);
-                EXPECT_EQ(a.stats.cycles, b.stats.cycles);
-                EXPECT_EQ(a.stats.dramTrafficBits,
-                          b.stats.dramTrafficBits);
-                for (size_t c = 0; c < sim::kNumComponents; ++c)
-                    EXPECT_EQ(a.stats.energyPj[c],
-                              b.stats.energyPj[c])
-                        << "variant " << v << " cell (" << ai << ","
-                        << wi << ") component "
-                        << sim::componentName((sim::Component)c);
+                SCOPED_TRACE("width " + std::to_string(kWidths[v]) +
+                             " cell (" + std::to_string(ai) + "," +
+                             std::to_string(wi) + ")");
+                ASSERT_EQ(all[0][ai][wi].run, all[v][ai][wi].run);
+                expectIdenticalStats(all[0][ai][wi].stats,
+                                     all[v][ai][wi].stats);
             }
     }
 }
 
-TEST(SimDriver, SweepMatchesRunNetworkAndHonorsSkips)
+TEST(SimSweep, SweepMatchesRunNetworkAndHonorsSkips)
 {
     std::vector<accel::AcceleratorPtr> accs;
     accs.push_back(std::make_unique<accel::DianNao>());
@@ -658,28 +694,31 @@ TEST(SimDriver, SweepMatchesRunNetworkAndHonorsSkips)
     workloads.push_back(
         accel::annotatedWorkload(models::ModelId::MobileNetV2));
 
-    runtime::RuntimeOptions ro;
-    ro.threads = 3;
-    runtime::SimDriver driver(ro);
-    auto cells = driver.sweep(accs, workloads, /*include_fc=*/false,
-                              [](size_t ai, size_t wi) {
-                                  return ai == 0 && wi == 1;  // skip
-                              });
+    const RestorePoolWidth restore;
+    for (int width : kWidths) {
+        SCOPED_TRACE("width " + std::to_string(width));
+        kernels::configureThreads(width);
+        auto cells = runtime::sweep(accs, workloads,
+                                    /*include_fc=*/false,
+                                    [](size_t ai, size_t wi) {
+                                        return ai == 0 && wi == 1;
+                                    });
 
-    ASSERT_EQ(cells.size(), 2u);
-    ASSERT_EQ(cells[0].size(), 2u);
-    EXPECT_FALSE(cells[0][1].run);
+        ASSERT_EQ(cells.size(), 2u);
+        ASSERT_EQ(cells[0].size(), 2u);
+        EXPECT_FALSE(cells[0][1].run);
 
-    for (size_t ai = 0; ai < accs.size(); ++ai)
-        for (size_t wi = 0; wi < workloads.size(); ++wi) {
-            if (ai == 0 && wi == 1)
-                continue;
-            ASSERT_TRUE(cells[ai][wi].run);
-            auto ref = accs[ai]->runNetwork(workloads[wi], false);
-            EXPECT_EQ(cells[ai][wi].stats.cycles, ref.cycles);
-            EXPECT_EQ(cells[ai][wi].stats.totalEnergyPj(),
-                      ref.totalEnergyPj());
-        }
+        for (size_t ai = 0; ai < accs.size(); ++ai)
+            for (size_t wi = 0; wi < workloads.size(); ++wi) {
+                if (ai == 0 && wi == 1)
+                    continue;
+                ASSERT_TRUE(cells[ai][wi].run);
+                auto ref = accs[ai]->runNetwork(workloads[wi], false);
+                EXPECT_EQ(cells[ai][wi].stats.cycles, ref.cycles);
+                EXPECT_EQ(cells[ai][wi].stats.totalEnergyPj(),
+                          ref.totalEnergyPj());
+            }
+    }
 }
 
 } // namespace

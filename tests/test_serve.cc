@@ -1193,6 +1193,10 @@ TEST(ServeFrontReload, ConcurrentSubmitsRideTheSwap)
             }
         }
     });
+    // Start swapping only once traffic flows: on a loaded machine the
+    // ten reloads can otherwise all finish before the first answer.
+    while (answered.load() == 0 && dropped.load() == 0)
+        std::this_thread::yield();
     for (int flip = 0; flip < 10; ++flip) {
         const auto &g = (flip % 2 == 0) ? gen2 : gen1;
         const uint64_t seed = (flip % 2 == 0) ? 66u : 65u;
